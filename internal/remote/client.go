@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -35,9 +34,9 @@ var ErrDegraded = fmt.Errorf("remote: wire degraded: %w", buffer.ErrDegraded)
 // wraps buffer.ErrReattached.
 var ErrReattached = fmt.Errorf("remote: connection re-attached: %w", buffer.ErrReattached)
 
-// errWire tags transport-level failures (encode/decode/dial errors,
-// deadline expiry) apart from application-level refusals the server
-// answered with. Only wire failures are retryable.
+// errWire tags transport-level failures (send/receive/dial errors,
+// malformed frames, deadline expiry) apart from application-level
+// refusals the server answered with. Only wire failures are retryable.
 var errWire = errors.New("remote: wire failure")
 
 // isWire reports whether an error is a retryable transport failure.
@@ -52,9 +51,12 @@ func isWire(err error) bool { return errors.Is(err, errWire) }
 type conn struct {
 	mu      sync.Mutex
 	nc      net.Conn
-	enc     *gob.Encoder
-	dec     *gob.Decoder
+	w       *wire
 	timeout time.Duration // write deadline and default read deadline
+}
+
+func newConn(nc net.Conn, timeout time.Duration) *conn {
+	return &conn{nc: nc, w: newWire(nc), timeout: timeout}
 }
 
 // Dialer opens the transport for a client connection. Tests inject
@@ -68,15 +70,19 @@ func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
 
 // call performs one request/response round trip. readTimeout bounds the
 // wait for the reply; zero waits forever (blocking gets on an idle
-// channel are not a fault). A deadline expiry poisons the gob stream,
-// so the caller must discard the connection afterwards.
+// channel are not a fault). A deadline expiry can leave a frame half
+// sent or half read, so the caller must discard the connection
+// afterwards.
 func (c *conn) call(req *Request, readTimeout time.Duration) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.timeout > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
-	if err := c.enc.Encode(req); err != nil {
+	if err := c.w.writeRequest(req); err != nil {
+		if errors.Is(err, errFrameTooLarge) {
+			return Response{}, err // nothing was sent; a retry cannot help
+		}
 		return Response{}, wireFail("send", err)
 	}
 	if readTimeout > 0 {
@@ -85,7 +91,7 @@ func (c *conn) call(req *Request, readTimeout time.Duration) (Response, error) {
 		c.nc.SetReadDeadline(time.Time{})
 	}
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := c.w.readResponse(&resp); err != nil {
 		return Response{}, wireFail("receive", err)
 	}
 	if resp.Err == ErrClosedText {
@@ -276,7 +282,7 @@ func Stats(addr, channel string) (items int, bytes int64, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("remote: dial %s: %w", addr, err)
 	}
-	c := &conn{nc: nc, enc: gob.NewEncoder(nc), dec: gob.NewDecoder(nc), timeout: defaultCallTimeout}
+	c := newConn(nc, defaultCallTimeout)
 	defer c.close()
 	resp, err := c.call(&Request{Op: OpStats, Channel: channel}, defaultCallTimeout)
 	if err != nil {

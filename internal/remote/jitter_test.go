@@ -99,7 +99,7 @@ func TestRedialJitterSeededPinned(t *testing.T) {
 // TestDefaultSeedsAndTokens covers the unseeded paths: zero-seed configs
 // draw distinct nonzero jitter seeds from the process stream (no two
 // connections share a schedule by accident), and producer tokens are
-// nonzero, odd-bit-tagged, and distinct.
+// nonzero, odd-bit-tagged, 63-bit, and distinct.
 func TestDefaultSeedsAndTokens(t *testing.T) {
 	s1, s2 := defaultSeed(), defaultSeed()
 	if s1 == 0 || s2 == 0 || s1 == s2 {
@@ -111,6 +111,9 @@ func TestDefaultSeedsAndTokens(t *testing.T) {
 	t1, t2 := newToken(), newToken()
 	if t1&1 == 0 || t2&1 == 0 {
 		t.Fatalf("tokens %d, %d missing the nonzero tag bit", t1, t2)
+	}
+	if t1>>63 != 0 || t2>>63 != 0 {
+		t.Fatalf("tokens %d, %d use the top bit: a 10-byte uvarint on every put", t1, t2)
 	}
 	if t1 == t2 {
 		t.Fatalf("consecutive tokens collided: %d", t1)

@@ -9,10 +9,31 @@
 // consumer's get carries its summary-STP to the channel, and a producer's
 // put returns the channel's compressed summary-STP with the reply.
 //
-// The wire protocol is length-free gob streams: each attached connection
-// owns one TCP connection carrying a strict request/response alternation,
-// so a blocking GetLatest simply leaves the reply pending. Payloads are
-// opaque byte slices; callers serialize their own data.
+// Each attached connection owns one TCP connection carrying a strict
+// request/response alternation, so a blocking GetLatest simply leaves the
+// reply pending. Payloads are opaque byte slices; callers serialize their
+// own data.
+//
+// Every message is one length-prefixed binary frame (frame.go):
+//
+//	u32 LE  body length (everything below; at most 64 MiB)
+//	u8      version (1; any other value drops the connection)
+//	u8      op/flags: a request's Op in bits 0-6 and Retry in bit 7;
+//	        a response's OK in bit 0, other bits zero
+//	varint  request:  TS, Size, SummarySTP, Window (zig-zag), Token (unsigned)
+//	        response: TS, Size, SummarySTP, Items, Bytes (all zig-zag)
+//	string  request Channel / response Err: uvarint length (≤ 1 KiB), bytes
+//	list    response only: uvarint count, then each SkippedTS zig-zag
+//	bytes   payload: the rest of the frame (empty decodes as nil)
+//
+// Every varint must be in shortest form, and every declared length is
+// checked against the bytes left in the frame before anything is
+// allocated for it. A frame that breaks a rule is a wire failure: the
+// server drops the connection, and a client redials as after any
+// transport fault. A put's payload is at most 63 MiB, so the get reply
+// that carries it back out keeps 1 MiB for its header and skipped list;
+// a reply whose skipped list would still overflow the frame drops its
+// oldest entries.
 package remote
 
 import (

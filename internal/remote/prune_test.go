@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"encoding/gob"
 	"testing"
 	"time"
 
@@ -17,7 +16,7 @@ func dialRaw(t *testing.T, addr string) *conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &conn{nc: nc, enc: gob.NewEncoder(nc), dec: gob.NewDecoder(nc), timeout: time.Second}
+	return newConn(nc, time.Second)
 }
 
 // waitDedupEntries polls until the hosted channel's lastPut map holds

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -208,7 +207,7 @@ func (s *Server) Close() error {
 	for _, h := range s.channels {
 		h.ch.Close()
 	}
-	// Sever client wires so serve loops blocked in Decode return.
+	// Sever client wires so serve loops blocked reading a frame return.
 	for _, nc := range conns {
 		nc.Close()
 	}
@@ -275,18 +274,17 @@ func (s *Server) serve(nc net.Conn) {
 		return
 	}
 	defer s.untrack(nc)
-	dec := gob.NewDecoder(nc)
-	enc := gob.NewEncoder(nc)
+	w := newWire(nc)
 	var sess session
 	defer s.detach(&sess)
 
 	for {
 		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return // client went away
+		if err := w.readRequest(&req); err != nil {
+			return // client went away, or sent a malformed frame
 		}
 		resp := s.handle(&sess, &req)
-		if err := enc.Encode(&resp); err != nil {
+		if err := w.writeResponse(&resp); err != nil {
 			return
 		}
 	}
@@ -366,6 +364,10 @@ func (s *Server) handle(sess *session, req *Request) Response {
 			sess.hosted.mDedup.Inc()
 			return Response{OK: true, SummarySTP: sess.hosted.summary(s.cfg.Compressor)}
 		}
+		if len(req.Payload) > maxPayload {
+			// Stored, it could never ride back out in a get reply.
+			return Response{Err: fmt.Sprintf("remote: payload of %d bytes exceeds %d", len(req.Payload), maxPayload)}
+		}
 		size := req.Size
 		if size == 0 {
 			size = int64(len(req.Payload))
@@ -412,8 +414,11 @@ func (s *Server) handle(sess *session, req *Request) Response {
 		if b, ok := res.Item.Payload.([]byte); ok {
 			resp.Payload = b
 		}
-		for _, sk := range res.Skipped {
-			resp.SkippedTS = append(resp.SkippedTS, sk.TS)
+		if len(res.Skipped) > 0 {
+			resp.SkippedTS = make([]vt.Timestamp, len(res.Skipped))
+			for i, sk := range res.Skipped {
+				resp.SkippedTS[i] = sk.TS
+			}
 		}
 		return resp
 

@@ -182,3 +182,56 @@ func TestCtxPutGetQueueAllocs(t *testing.T) {
 		t.Errorf("Ctx.Get on queue: %.0f allocs/op, want 0", gets)
 	}
 }
+
+// TestProvenanceUntracedStaysEmpty is the Ctx.produced leak regression
+// test: without a Recorder, the per-iteration provenance lists feed
+// nothing, so a producer that puts 1M items and a consumer that gets
+// and reuses them, neither ever calling Sync, must leave both lists
+// unallocated.
+func TestProvenanceUntracedStaysEmpty(t *testing.T) {
+	const items = 1_000_000
+	rt := allocRuntime()
+	ring := rt.MustAddRing("R", 0, WithCapacity(1024))
+	produced, consumed := make(chan int, 1), make(chan int, 1)
+
+	prod := rt.MustAddThread("prod", 0, func(ctx *Ctx) error {
+		out := ctx.Outs()[0]
+		for ts := vt.Timestamp(1); ts <= items; ts++ {
+			if err := ctx.Put(out, ts, nil, 8); err != nil {
+				produced <- -1
+				return err
+			}
+		}
+		produced <- cap(ctx.produced)
+		<-ctx.Done()
+		return nil
+	})
+	cons := rt.MustAddThread("cons", 0, func(ctx *Ctx) error {
+		in := ctx.Ins()[0]
+		for i := 0; i < items; i++ {
+			msg, err := ctx.Get(in)
+			if err != nil {
+				consumed <- -1
+				return err
+			}
+			ctx.Reuse(msg)
+		}
+		consumed <- cap(ctx.consumed)
+		<-ctx.Done()
+		return nil
+	})
+	prod.MustOutput(ring)
+	cons.MustInput(ring)
+
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	p, c := <-produced, <-consumed
+	rt.Stop()
+	if err := rt.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if p != 0 || c != 0 {
+		t.Fatalf("untraced provenance grew: cap(produced) = %d, cap(consumed) = %d, want 0 and 0", p, c)
+	}
+}

@@ -260,6 +260,9 @@ type Ctx struct {
 	meter    *core.Meter
 	throttle *core.Throttle
 
+	// consumed and produced are this iteration's item ids, the trace's
+	// provenance. They grow only when a Recorder is attached: Sync
+	// truncates them, and a body that never syncs must not leak.
 	consumed []trace.ItemID
 	produced []trace.ItemID
 	emitted  int
@@ -439,7 +442,9 @@ func (c *Ctx) GetWindow(p *InPort) (head Msg, window []Msg, err error) {
 	c.windowScratch = c.windowScratch[:0]
 	for _, w := range res.Window {
 		rec.Append(trace.Event{Kind: trace.EvGet, At: now, Item: w.ID, Node: p.ref.id, Thread: c.thread.id})
-		c.consumed = append(c.consumed, w.ID)
+		if rec != nil {
+			c.consumed = append(c.consumed, w.ID)
+		}
 		// Window members already live locally; only the head pays the
 		// transfer below.
 		c.windowScratch = append(c.windowScratch, Msg{TS: w.TS, Payload: w.Payload, Size: w.Size, ID: w.ID})
@@ -484,7 +489,7 @@ func (c *Ctx) TryGetLatest(p *InPort) (Msg, bool, error) {
 // wasted-versus-successful classification and latency accounting) remains
 // correct for cached inputs.
 func (c *Ctx) Reuse(msg Msg) {
-	if msg.ID != trace.NoItem {
+	if c.rt.opts.Recorder != nil && msg.ID != trace.NoItem {
 		c.consumed = append(c.consumed, msg.ID)
 	}
 }
@@ -527,7 +532,9 @@ func (c *Ctx) finishGet(p *InPort, res buffer.GetResult) (Msg, error) {
 	// Piggyback the consumer's summary-STP back to the buffer (§3.3.2).
 	c.rt.ctrl.NoteGet(p.conn)
 
-	c.consumed = append(c.consumed, res.Item.ID)
+	if rec != nil {
+		c.consumed = append(c.consumed, res.Item.ID)
+	}
 	return Msg{TS: res.Item.TS, Payload: res.Item.Payload, Size: res.Item.Size, ID: res.Item.ID}, nil
 }
 
@@ -584,7 +591,9 @@ func (c *Ctx) Put(p *OutPort, ts vt.Timestamp, payload any, size int64) error {
 		// footprint accounting tracks in-process buffers only.
 		c.rt.addLive(p.ref.host, size)
 	}
-	c.produced = append(c.produced, id)
+	if rec != nil {
+		c.produced = append(c.produced, id)
+	}
 	// err is nil or the informational ErrReattached: the item was
 	// applied and fully accounted either way.
 	return err

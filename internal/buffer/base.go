@@ -193,11 +193,6 @@ func (b *Base) WakeConsumersLocked() {
 	}
 }
 
-// SignalConsumerLocked wakes exactly one parked consumer. FIFO backends
-// use it on put: queue consumers are interchangeable, so exactly one
-// should wake per enqueued item.
-func (b *Base) SignalConsumerLocked() { b.notEmpty.Signal() }
-
 // SignalConsumersLocked wakes up to n parked consumers — one per newly
 // enqueued item, capped at the number actually waiting. FIFO backends
 // use it on batch puts so a k-item batch costs min(k, waiters) signals
@@ -345,21 +340,8 @@ func (b *Base) AttachConsumerLocked(conn graph.ConnID, window int) {
 	}
 }
 
-// AccountPutLocked records one inserted item.
-func (b *Base) AccountPutLocked(it *Item) {
-	b.liveBytes += it.Size
-	b.puts++
-	if b.mPuts != nil {
-		b.mPuts.Inc()
-		b.mItemsHW.Max(int64(b.occupied()))
-		b.mBytesHW.Max(b.liveBytes)
-	}
-}
-
 // AccountPutBatchLocked records a batch of inserted items with a single
-// metrics branch — the per-item nil-handle checks of AccountPutLocked
-// are hoisted out of the loop, and the counter advances once by the
-// batch size.
+// metrics branch: the counter advances once by the batch size.
 func (b *Base) AccountPutBatchLocked(items []*Item) {
 	var bytes int64
 	for _, it := range items {
@@ -439,13 +421,10 @@ func (b *Base) Drained() bool {
 	return b.sealed && b.occupied() == 0
 }
 
-// NoteDeliveredLocked records one item delivered to a consumer while the
+// NoteDeliveredLocked records n items delivered to a consumer while the
 // buffer is sealed — the "drained" side of the conservation ledger. A
 // no-op before Seal, so backends call it unconditionally on delivery.
-func (b *Base) NoteDeliveredLocked() { b.NoteDeliveredNLocked(1) }
-
-// NoteDeliveredNLocked is NoteDeliveredLocked for a batch of n items.
-func (b *Base) NoteDeliveredNLocked(n int) {
+func (b *Base) NoteDeliveredLocked(n int) {
 	if b.sealed && n > 0 {
 		b.drained += int64(n)
 		if b.mDrained != nil {

@@ -133,6 +133,22 @@ func (o *chanOracle) tryGet(conn graph.ConnID) (vt.Timestamp, []vt.Timestamp, bo
 	return newest, skipped, true
 }
 
+// getOldest returns the oldest unseen live item: a channel's batch get
+// drains in timestamp order and marks nothing skipped.
+func (o *chanOracle) getOldest(conn graph.ConnID) (vt.Timestamp, bool) {
+	cs := o.cons[conn]
+	unseen := o.liveAsc(cs.lastSeen+1, o.newest()+1)
+	if len(unseen) == 0 {
+		return 0, false
+	}
+	ts := unseen[0]
+	cs.lastSeen = ts
+	if ts > cs.guarantee {
+		cs.guarantee = ts
+	}
+	return ts, true
+}
+
 // getAtClass classifies the expected GetAt outcome: "ok", "passed",
 // "gone", or "block" (the test never issues blocking calls).
 func (o *chanOracle) getAtClass(conn graph.ConnID, ts vt.Timestamp) string {
@@ -156,99 +172,177 @@ func (o *chanOracle) getAtClass(conn graph.ConnID, ts vt.Timestamp) string {
 // TestDifferentialChannel drives a registry-materialized channel with a
 // seeded random op sequence and checks every observable against the
 // oracle.
+//
+// The mixed input interleaves the single-item and batch-of-one entry
+// points (Put/PutBatch, TryGet/Get/GetBatch) and seals the channel half
+// way through, checking DrainStats against the oracle's count of items
+// delivered after the seal.
 func TestDifferentialChannel(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			b := newBackend(t, "channel")
-			o := newChanOracle()
-			conns := []graph.ConnID{consConnA, consConnB}
-			var nextTS vt.Timestamp = 1
+	for _, mixed := range []bool{false, true} {
+		for seed := int64(0); seed < 5; seed++ {
+			name := fmt.Sprintf("seed=%d", seed)
+			if mixed {
+				name = "mixed/" + name
+			}
+			t.Run(name, func(t *testing.T) { diffChannel(t, seed, mixed) })
+		}
+	}
+}
 
-			for op := 0; op < 3000; op++ {
-				switch k := rng.Intn(10); {
-				case k < 4: // put, occasionally a duplicate
-					ts := nextTS
-					if o.puts > 0 && rng.Intn(10) == 0 {
-						ts = vt.Timestamp(1 + rng.Int63n(int64(o.maxPut)))
-					} else {
-						nextTS += vt.Timestamp(1 + rng.Intn(3))
-					}
-					wantOK := o.put(ts)
-					_, err := b.Put(prodConn, &buffer.Item{TS: ts, Size: itemSize(ts)})
-					if wantOK && err != nil {
-						t.Fatalf("op %d: put %v: unexpected error %v", op, ts, err)
-					}
-					if !wantOK && !errors.Is(err, buffer.ErrDuplicate) {
-						t.Fatalf("op %d: duplicate put %v: got %v, want ErrDuplicate", op, ts, err)
-					}
+func diffChannel(t *testing.T, seed int64, mixed bool) {
+	rng := rand.New(rand.NewSource(seed))
+	b := newBackend(t, "channel")
+	o := newChanOracle()
+	conns := []graph.ConnID{consConnA, consConnB}
+	var nextTS vt.Timestamp = 1
+	var one [1]buffer.GetResult
+	sealed := false
+	var drained int64 // oracle: deliveries after the seal
 
-				case k < 8: // try-get by a random consumer
-					conn := conns[rng.Intn(len(conns))]
-					wantTS, wantSkip, wantOK := o.tryGet(conn)
-					res, ok, err := b.TryGet(conn)
-					if err != nil {
-						t.Fatalf("op %d: tryget: %v", op, err)
-					}
-					if ok != wantOK {
-						t.Fatalf("op %d: tryget ok=%v, oracle %v", op, ok, wantOK)
-					}
-					if !ok {
-						continue
-					}
-					if res.Item.TS != wantTS {
-						t.Fatalf("op %d: tryget ts=%v, oracle %v", op, res.Item.TS, wantTS)
-					}
-					if len(res.Skipped) != len(wantSkip) {
-						t.Fatalf("op %d: tryget skipped %d items, oracle %d", op, len(res.Skipped), len(wantSkip))
-					}
-					for i, sk := range res.Skipped {
-						if sk.TS != wantSkip[i] {
-							t.Fatalf("op %d: skipped[%d]=%v, oracle %v", op, i, sk.TS, wantSkip[i])
-						}
-					}
+	for op := 0; op < 3000; op++ {
+		if mixed && op == 1500 {
+			b.Seal()
+			sealed = true
+		}
+		switch k := rng.Intn(10); {
+		case k < 4: // put, occasionally a duplicate
+			ts := nextTS
+			if o.puts > 0 && rng.Intn(10) == 0 {
+				ts = vt.Timestamp(1 + rng.Int63n(int64(o.maxPut)))
+			} else {
+				nextTS += vt.Timestamp(1 + rng.Intn(3))
+			}
+			wantOK := !sealed && o.put(ts)
+			it := &buffer.Item{TS: ts, Size: itemSize(ts)}
+			var err error
+			if mixed && rng.Intn(2) == 0 {
+				_, _, err = b.PutBatch(prodConn, []*buffer.Item{it})
+			} else {
+				_, err = b.Put(prodConn, it)
+			}
+			switch {
+			case sealed:
+				if !errors.Is(err, buffer.ErrDraining) {
+					t.Fatalf("op %d: put %v into sealed channel: got %v, want ErrDraining", op, ts, err)
+				}
+			case wantOK && err != nil:
+				t.Fatalf("op %d: put %v: unexpected error %v", op, ts, err)
+			case !wantOK && !errors.Is(err, buffer.ErrDuplicate):
+				t.Fatalf("op %d: duplicate put %v: got %v, want ErrDuplicate", op, ts, err)
+			}
 
-				case k < 9: // get-at a timestamp that cannot block
-					if o.maxPut == vt.None {
-						continue
-					}
-					conn := conns[rng.Intn(len(conns))]
-					ts := vt.Timestamp(1 + rng.Int63n(int64(o.maxPut)))
-					class := o.getAtClass(conn, ts)
-					if class == "block" {
-						continue
-					}
-					res, err := b.GetAt(conn, ts)
-					switch class {
-					case "ok":
-						if err != nil {
-							t.Fatalf("op %d: getat %v: %v, oracle ok", op, ts, err)
-						}
-						if res.Item.TS != ts {
-							t.Fatalf("op %d: getat ts=%v, want %v", op, res.Item.TS, ts)
-						}
-					case "passed":
-						if !errors.Is(err, buffer.ErrPassed) {
-							t.Fatalf("op %d: getat %v: %v, oracle ErrPassed", op, ts, err)
-						}
-					case "gone":
-						if !errors.Is(err, buffer.ErrGone) {
-							t.Fatalf("op %d: getat %v: %v, oracle ErrGone", op, ts, err)
-						}
-					}
-
-				default: // accounting parity
-					items, bytes := b.Occupancy()
-					if items != len(o.live) || bytes != o.bytes {
-						t.Fatalf("op %d: occupancy (%d, %d), oracle (%d, %d)", op, items, bytes, len(o.live), o.bytes)
-					}
-					puts, frees := b.Stats()
-					if puts != o.puts || frees != 0 {
-						t.Fatalf("op %d: stats (%d, %d), oracle (%d, 0)", op, puts, frees, o.puts)
-					}
+		case k < 8: // try-get by a random consumer; mixed adds Get and
+			// GetBatch of one where they cannot block
+			conn := conns[rng.Intn(len(conns))]
+			mode := 0
+			if mixed && (sealed || o.newest() > o.cons[conn].lastSeen) {
+				mode = rng.Intn(3)
+			}
+			var wantTS vt.Timestamp
+			var wantSkip []vt.Timestamp
+			var wantOK bool
+			if mode == 2 {
+				wantTS, wantOK = o.getOldest(conn)
+			} else {
+				wantTS, wantSkip, wantOK = o.tryGet(conn)
+			}
+			var res buffer.GetResult
+			var ok bool
+			var err error
+			switch mode {
+			case 0:
+				res, ok, err = b.TryGet(conn)
+			case 1:
+				res, err = b.Get(conn)
+				ok = err == nil
+			default:
+				var n int
+				n, err = b.GetBatch(conn, one[:])
+				res, ok = one[0], n == 1
+			}
+			if sealed && !wantOK {
+				if !errors.Is(err, buffer.ErrClosed) {
+					t.Fatalf("op %d: get mode %d on flushed sealed channel: %v, want ErrClosed", op, mode, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("op %d: get mode %d: %v", op, mode, err)
+			}
+			if ok != wantOK {
+				t.Fatalf("op %d: get mode %d ok=%v, oracle %v", op, mode, ok, wantOK)
+			}
+			if !ok {
+				continue
+			}
+			if sealed {
+				drained++
+			}
+			if res.Item.TS != wantTS {
+				t.Fatalf("op %d: tryget ts=%v, oracle %v", op, res.Item.TS, wantTS)
+			}
+			if len(res.Skipped) != len(wantSkip) {
+				t.Fatalf("op %d: tryget skipped %d items, oracle %d", op, len(res.Skipped), len(wantSkip))
+			}
+			for i, sk := range res.Skipped {
+				if sk.TS != wantSkip[i] {
+					t.Fatalf("op %d: skipped[%d]=%v, oracle %v", op, i, sk.TS, wantSkip[i])
 				}
 			}
-		})
+
+		case k < 9: // get-at a timestamp that cannot block
+			if o.maxPut == vt.None {
+				continue
+			}
+			conn := conns[rng.Intn(len(conns))]
+			ts := vt.Timestamp(1 + rng.Int63n(int64(o.maxPut)))
+			class := o.getAtClass(conn, ts)
+			if class == "block" {
+				continue
+			}
+			res, err := b.GetAt(conn, ts)
+			switch class {
+			case "ok":
+				if err != nil {
+					t.Fatalf("op %d: getat %v: %v, oracle ok", op, ts, err)
+				}
+				if res.Item.TS != ts {
+					t.Fatalf("op %d: getat ts=%v, want %v", op, res.Item.TS, ts)
+				}
+				if sealed {
+					drained++
+				}
+			case "passed":
+				if !errors.Is(err, buffer.ErrPassed) {
+					t.Fatalf("op %d: getat %v: %v, oracle ErrPassed", op, ts, err)
+				}
+			case "gone":
+				if !errors.Is(err, buffer.ErrGone) {
+					t.Fatalf("op %d: getat %v: %v, oracle ErrGone", op, ts, err)
+				}
+			}
+
+		default: // accounting parity
+			items, bytes := b.Occupancy()
+			if items != len(o.live) || bytes != o.bytes {
+				t.Fatalf("op %d: occupancy (%d, %d), oracle (%d, %d)", op, items, bytes, len(o.live), o.bytes)
+			}
+			puts, frees := b.Stats()
+			if puts != o.puts || frees != 0 {
+				t.Fatalf("op %d: stats (%d, %d), oracle (%d, 0)", op, puts, frees, o.puts)
+			}
+			checkDrainStats(t, b, drained)
+		}
+	}
+	checkDrainStats(t, b, drained)
+}
+
+// checkDrainStats compares a backend's drain ledger with the oracle's
+// count of items delivered after the seal; nothing is ever shed.
+func checkDrainStats(t *testing.T, b buffer.Buffer, drained int64) {
+	t.Helper()
+	if d, shed := b.DrainStats(); d != drained || shed != 0 {
+		t.Fatalf("drain stats (%d, %d), oracle (%d, 0)", d, shed, drained)
 	}
 }
 
@@ -335,6 +429,108 @@ func TestDifferentialQueue(t *testing.T) {
 			}
 		})
 	}
+	for seed := int64(0); seed < 5; seed++ {
+		t.Run(fmt.Sprintf("mixed/seed=%d", seed), func(t *testing.T) {
+			diffMixedFIFO(t, newBackend(t, "queue"), []graph.ConnID{consConnA, consConnB}, seed)
+		})
+	}
+}
+
+// diffMixedFIFO is the mixed differential input shared by the FIFO
+// backends: the single-item and batch-of-one entry points (Put/PutBatch,
+// TryGet/Get/GetBatch) interleaved at random against the FIFO oracle,
+// with a Seal half way through and DrainStats checked against the
+// oracle's count of items delivered after it.
+func diffMixedFIFO(t *testing.T, b buffer.Buffer, conns []graph.ConnID, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	o := &queueOracle{}
+	var nextTS vt.Timestamp
+	var one [1]buffer.GetResult
+	sealed := false
+	var drained int64
+
+	for op := 0; op < 3000; op++ {
+		if op == 1500 {
+			b.Seal()
+			sealed = true
+		}
+		switch k := rng.Intn(10); {
+		case k < 4: // put, single or a batch of one
+			nextTS++
+			it := &buffer.Item{TS: nextTS, Size: itemSize(nextTS)}
+			var err error
+			if rng.Intn(2) == 0 {
+				_, _, err = b.PutBatch(prodConn, []*buffer.Item{it})
+			} else {
+				_, err = b.Put(prodConn, it)
+			}
+			if sealed {
+				if !errors.Is(err, buffer.ErrDraining) {
+					t.Fatalf("op %d: put into sealed buffer: %v, want ErrDraining", op, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("op %d: put %v: %v", op, nextTS, err)
+			}
+			o.put(nextTS)
+
+		case k < 9: // get; Get and GetBatch of one only where they cannot block
+			conn := conns[rng.Intn(len(conns))]
+			mode := 0
+			if sealed || len(o.fifo) > 0 {
+				mode = rng.Intn(3)
+			}
+			wantTS, wantOK := o.tryGet()
+			var res buffer.GetResult
+			var ok bool
+			var err error
+			switch mode {
+			case 0:
+				res, ok, err = b.TryGet(conn)
+			case 1:
+				res, err = b.Get(conn)
+				ok = err == nil
+			default:
+				var n int
+				n, err = b.GetBatch(conn, one[:])
+				res, ok = one[0], n == 1
+			}
+			if sealed && !wantOK {
+				if !errors.Is(err, buffer.ErrClosed) {
+					t.Fatalf("op %d: get mode %d on flushed sealed buffer: %v, want ErrClosed", op, mode, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("op %d: get mode %d: %v", op, mode, err)
+			}
+			if ok != wantOK {
+				t.Fatalf("op %d: get mode %d ok=%v, oracle %v", op, mode, ok, wantOK)
+			}
+			if !ok {
+				continue
+			}
+			if res.Item.TS != wantTS {
+				t.Fatalf("op %d: get mode %d ts=%v, oracle %v", op, mode, res.Item.TS, wantTS)
+			}
+			if sealed {
+				drained++
+			}
+
+		default: // accounting parity, including frees and the drain ledger
+			items, bytes := b.Occupancy()
+			if items != len(o.fifo) || bytes != o.bytes {
+				t.Fatalf("op %d: occupancy (%d, %d), oracle (%d, %d)", op, items, bytes, len(o.fifo), o.bytes)
+			}
+			puts, frees := b.Stats()
+			if puts != o.puts || frees != o.frees {
+				t.Fatalf("op %d: stats (%d, %d), oracle (%d, %d)", op, puts, frees, o.puts, o.frees)
+			}
+			checkDrainStats(t, b, drained)
+		}
+	}
+	checkDrainStats(t, b, drained)
 }
 
 // TestDifferentialRing drives a registry-materialized ring against the
@@ -347,18 +543,7 @@ func TestDifferentialRing(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			// Capacity exceeds the total put count so single-threaded
-			// puts can never park.
-			b, err := buffer.New("ring", buffer.Config{Name: "diff-ring", Node: 1, Capacity: 8192})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.AttachProducer(prodConn); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.AttachConsumer(consConnA, 1); err != nil {
-				t.Fatal(err)
-			}
+			b := newRing(t)
 			o := &queueOracle{}
 			var nextTS vt.Timestamp
 			items := make([]*buffer.Item, 0, 4)
@@ -437,6 +622,29 @@ func TestDifferentialRing(t *testing.T) {
 			}
 		})
 	}
+	for seed := int64(0); seed < 5; seed++ {
+		t.Run(fmt.Sprintf("mixed/seed=%d", seed), func(t *testing.T) {
+			diffMixedFIFO(t, newRing(t), []graph.ConnID{consConnA}, seed)
+		})
+	}
+}
+
+// newRing materializes a single-consumer ring whose capacity exceeds the
+// differential tests' total put count, so single-threaded puts can
+// never park.
+func newRing(t *testing.T) buffer.Buffer {
+	t.Helper()
+	b, err := buffer.New("ring", buffer.Config{Name: "diff-ring", Node: 1, Capacity: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AttachProducer(prodConn); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AttachConsumer(consConnA, 1); err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestRingMPSCHammer floods the ring's CAS-claimed tail from concurrent

@@ -15,8 +15,8 @@ const freeListCap = 1024
 // nothing: the Item freed by one iteration is the Item the next put
 // reuses, retiring the historical put=1 allocation pin to put=0.
 //
-// Get consults a bounded free list first (the deterministic fast path),
-// then the embedded sync.Pool; Recycle zeroes the item — dropping the
+// GetN consults a bounded free list first (the deterministic fast path),
+// then the embedded sync.Pool; RecycleN zeroes each item — dropping the
 // payload reference so pooling never extends payload lifetimes — and
 // returns it the same way. All methods are safe for concurrent use and
 // nil-safe: a nil *ItemPool ignores Recycle and allocates on Get, so
@@ -34,20 +34,12 @@ func NewItemPool() *ItemPool {
 	return p
 }
 
-// Get returns a zeroed Item, reusing a recycled one when available.
+// Get returns a zeroed Item, reusing a recycled one when available: a
+// GetN of one.
 func (p *ItemPool) Get() *Item {
-	if p == nil {
-		return new(Item)
-	}
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		it := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return it
-	}
-	p.mu.Unlock()
-	return p.pool.Get().(*Item)
+	var one [1]*Item
+	p.GetN(one[:])
+	return one[0]
 }
 
 // GetN fills dst with zeroed carriers in one free-list round: the lock
@@ -76,8 +68,8 @@ func (p *ItemPool) GetN(dst []*Item) {
 
 // RecycleN zeroes and recycles a batch of items in one free-list round;
 // what the free list cannot hold spills into the sync.Pool outside the
-// lock. nil entries are skipped, and like Recycle the caller must be
-// the sole owner of every item. A nil pool ignores the batch.
+// lock. nil entries are skipped, and the caller must be the sole owner
+// of every item. A nil pool ignores the batch.
 func (p *ItemPool) RecycleN(items []*Item) {
 	if p == nil {
 		return
@@ -103,21 +95,10 @@ func (p *ItemPool) RecycleN(items []*Item) {
 	}
 }
 
-// Recycle zeroes an item and returns it to the pool. The caller must be
-// the item's sole owner: buffers recycle only after the item left their
-// storage and every observer (OnFree, snapshots) is done with the
-// pointer. Recycling nil or through a nil pool is a no-op.
+// Recycle zeroes an item and returns it to the pool: a RecycleN of one.
+// The caller must be the item's sole owner: buffers recycle only after
+// the item left their storage and every observer (OnFree, snapshots) is
+// done with the pointer. Recycling nil or through a nil pool is a no-op.
 func (p *ItemPool) Recycle(it *Item) {
-	if p == nil || it == nil {
-		return
-	}
-	*it = Item{}
-	p.mu.Lock()
-	if len(p.free) < cap(p.free) {
-		p.free = append(p.free, it)
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Unlock()
-	p.pool.Put(it)
+	p.RecycleN([]*Item{it})
 }

@@ -29,7 +29,7 @@ func BenchmarkGetLatestNoSkip(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := c.GetLatest(consConn); err != nil {
+		if _, err := c.Get(consConn); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func benchContended(b *testing.B, m int) {
 		go func(conn graph.ConnID) {
 			defer wg.Done()
 			for {
-				if _, err := c.GetLatest(conn); err != nil {
+				if _, err := c.Get(conn); err != nil {
 					return
 				}
 			}
@@ -91,7 +91,7 @@ func BenchmarkPutGetLatest(b *testing.B) {
 		if _, err := c.Put(prodConn, &Item{TS: vt.Timestamp(i + 1), Size: 1024}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.GetLatest(consConn); err != nil {
+		if _, err := c.Get(consConn); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func BenchmarkPutSkip10(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		res, err := c.GetLatest(consConn)
+		res, err := c.Get(consConn)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func BenchmarkWindowGet(b *testing.B) {
 		if _, err := c.Put(prodConn, &Item{TS: ts, Size: 1024}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.GetLatest(consConn); err != nil {
+		if _, err := c.Get(consConn); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func BenchmarkPutGetLatestMetricsOn(b *testing.B) {
 		if _, err := c.Put(prodConn, &Item{TS: vt.Timestamp(i + 1), Size: 1024}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.GetLatest(consConn); err != nil {
+		if _, err := c.Get(consConn); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,7 +231,7 @@ func BenchmarkPutGetLatestPooled(b *testing.B) {
 		if _, err := c.Put(prodConn, it); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.GetLatest(consConn); err != nil {
+		if _, err := c.Get(consConn); err != nil {
 			b.Fatal(err)
 		}
 	}

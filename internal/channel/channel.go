@@ -180,37 +180,13 @@ func (c *Channel) FailConsumer(conn graph.ConnID) {
 	}
 }
 
-// Put inserts an item. It blocks while a bounded channel is full and
-// returns ErrClosed/ErrDuplicate on those conditions. The returned
-// duration is the time spent blocked on capacity.
+// Put inserts an item: a PutBatch of one. It blocks while a bounded
+// channel is full and returns ErrClosed/ErrDuplicate on those
+// conditions. The returned duration is the time spent blocked on
+// capacity.
 func (c *Channel) Put(conn graph.ConnID, it *Item) (time.Duration, error) {
-	c.Mu.Lock()
-	defer c.Mu.Unlock()
-	if err := c.CheckProducerLocked(conn); err != nil {
-		return 0, err
-	}
-	blocked, err := c.AwaitCapacityLocked()
-	if err != nil {
-		return blocked, err
-	}
-	if c.ClosedLocked() {
-		return blocked, ErrClosed
-	}
-	if _, dup := c.items[it.TS]; dup {
-		return blocked, fmt.Errorf("%w: %v on %q", ErrDuplicate, it.TS, c.Name())
-	}
-	c.items[it.TS] = it
-	c.live.Add(it.TS)
-	c.AccountPutLocked(it)
-	if it.TS > c.maxPut {
-		c.maxPut = it.TS
-	}
-	// A put may itself complete a collection condition (e.g. the global
-	// virtual time advanced elsewhere), so sweep opportunistically; any
-	// frees wake capacity waiters inside freeLocked.
-	c.collectLocked()
-	c.WakeConsumersLocked()
-	return blocked, nil
+	_, blocked, err := c.PutBatch(conn, []*Item{it})
+	return blocked, err
 }
 
 // PutBatch inserts items in order under one lock acquisition, stopping
@@ -275,33 +251,52 @@ func (c *Channel) PutBatch(conn graph.ConnID, items []*Item) (int, time.Duration
 // request the latest item" discipline the ARU algorithm is predicated on
 // (§3.3.3).
 func (c *Channel) Get(conn graph.ConnID) (GetResult, error) {
-	return c.GetLatest(conn)
+	res, _, err := c.getLatest(conn, true)
+	return res, err
 }
 
-// GetLatest is Get under its historical Stampede name.
-func (c *Channel) GetLatest(conn graph.ConnID) (GetResult, error) {
+// TryGet is the non-blocking variant of Get: if an item newer than the
+// connection's guarantee is available it is consumed exactly as Get
+// would, otherwise ok is false and nothing changes. Stages that reuse
+// their previous input when no fresh one exists (the tracker's detectors
+// reusing the current histogram model) are built on it.
+func (c *Channel) TryGet(conn graph.ConnID) (res GetResult, ok bool, err error) {
+	return c.getLatest(conn, false)
+}
+
+// getLatest consumes the newest unseen item. With block set it waits
+// for one and res.Blocked carries the wait (also on error); without it
+// nothing fresh returns ok == false. A sealed channel with nothing fresh
+// reports ErrClosed — no new item can ever arrive, so the consumer's
+// flush is complete — and polling consumers terminate there instead of
+// spinning on ok == false.
+func (c *Channel) getLatest(conn graph.ConnID, block bool) (res GetResult, ok bool, err error) {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
 	cs, err := c.ConsumerLocked(conn)
 	if err != nil {
-		return GetResult{}, err
+		return GetResult{}, false, err
 	}
-	start := c.Clock().Now()
+	var start time.Duration
+	if block {
+		start = c.Clock().Now()
+	}
 	for {
-		if newest := c.live.Max(); newest > cs.LastSeen {
-			res := c.deliverLocked(cs, newest)
+		switch newest := c.live.Max(); {
+		case newest > cs.LastSeen:
+			res, ok = c.deliverLocked(cs, newest), true
+		case c.ClosedLocked() || c.SealedLocked():
+			err = ErrClosed
+		case c.ProducersExhaustedLocked():
+			err = fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, c.Name())
+		case block:
+			c.WaitConsumer()
+			continue
+		}
+		if block {
 			res.Blocked = c.Clock().Now() - start
-			return res, nil
 		}
-		// Sealed with nothing fresh: no new item can ever arrive, so the
-		// consumer's flush is complete — terminate like a close.
-		if c.ClosedLocked() || c.SealedLocked() {
-			return GetResult{Blocked: c.Clock().Now() - start}, ErrClosed
-		}
-		if c.ProducersExhaustedLocked() {
-			return GetResult{Blocked: c.Clock().Now() - start}, fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, c.Name())
-		}
-		c.WaitConsumer()
+		return res, ok, err
 	}
 }
 
@@ -338,7 +333,7 @@ func (c *Channel) deliverLocked(cs *buffer.Consumer, newest vt.Timestamp) GetRes
 	}
 	res.Item = buffer.Snapshot(c.items[newest])
 	cs.LastSeen = newest
-	c.NoteDeliveredLocked()
+	c.NoteDeliveredLocked(1)
 	// The consumer will never request ≤ windowStart again: the next
 	// head is at least newest+1, so the next window starts at least at
 	// windowStart+1.
@@ -381,7 +376,7 @@ func (c *Channel) GetBatch(conn graph.ConnID, dst []GetResult) (int, error) {
 			})
 			newest := dst[n-1].Item.TS
 			cs.LastSeen = newest
-			c.NoteDeliveredNLocked(n)
+			c.NoteDeliveredLocked(n)
 			c.advanceLocked(cs, newest)
 			dst[0].Blocked = c.Clock().Now() - start
 			return n, nil
@@ -394,41 +389,6 @@ func (c *Channel) GetBatch(conn graph.ConnID, dst []GetResult) (int, error) {
 		}
 		c.WaitConsumer()
 	}
-}
-
-// TryGet is the non-blocking variant of Get: if an item newer than the
-// connection's guarantee is available it is consumed exactly as Get
-// would, otherwise ok is false and nothing changes. Stages that reuse
-// their previous input when no fresh one exists (the tracker's detectors
-// reusing the current histogram model) are built on it.
-func (c *Channel) TryGet(conn graph.ConnID) (res GetResult, ok bool, err error) {
-	return c.TryGetLatest(conn)
-}
-
-// TryGetLatest is TryGet under its historical Stampede name.
-func (c *Channel) TryGetLatest(conn graph.ConnID) (res GetResult, ok bool, err error) {
-	c.Mu.Lock()
-	defer c.Mu.Unlock()
-	cs, err := c.ConsumerLocked(conn)
-	if err != nil {
-		return GetResult{}, false, err
-	}
-	if c.ClosedLocked() {
-		return GetResult{}, false, ErrClosed
-	}
-	newest := c.live.Max()
-	if newest <= cs.LastSeen {
-		if c.SealedLocked() {
-			// Nothing fresh can ever arrive in a sealed channel: polling
-			// consumers terminate here instead of spinning on ok=false.
-			return GetResult{}, false, ErrClosed
-		}
-		if c.ProducersExhaustedLocked() {
-			return GetResult{}, false, fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, c.Name())
-		}
-		return GetResult{}, false, nil
-	}
-	return c.deliverLocked(cs, newest), true, nil
 }
 
 // GetAt blocks until the item at exactly ts is available and consumes it.
@@ -458,7 +418,7 @@ func (c *Channel) GetAt(conn graph.ConnID, ts vt.Timestamp) (GetResult, error) {
 			if ts > cs.LastSeen {
 				cs.LastSeen = ts
 			}
-			c.NoteDeliveredLocked()
+			c.NoteDeliveredLocked(1)
 			c.advanceLocked(cs, ts-cs.Window+1)
 			return res, nil
 		}

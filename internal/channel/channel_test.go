@@ -40,7 +40,7 @@ func TestPutGetLatestBasic(t *testing.T) {
 	put(t, c, 2, 100)
 	put(t, c, 3, 100)
 
-	res, err := c.GetLatest(consConn)
+	res, err := c.Get(consConn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestGetLatestBlocksUntilPut(t *testing.T) {
 	c := newTestChannel(nil)
 	got := make(chan vt.Timestamp, 1)
 	go func() {
-		res, err := c.GetLatest(consConn)
+		res, err := c.Get(consConn)
 		if err != nil {
 			got <- vt.None
 			return
@@ -82,7 +82,7 @@ func TestGetLatestReportsBlockedTime(t *testing.T) {
 	c := newTestChannel(nil)
 	done := make(chan GetResult, 1)
 	go func() {
-		res, _ := c.GetLatest(consConn)
+		res, _ := c.Get(consConn)
 		done <- res
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -96,13 +96,13 @@ func TestGetLatestReportsBlockedTime(t *testing.T) {
 func TestGetLatestNeverRegresses(t *testing.T) {
 	c := newTestChannel(nil)
 	put(t, c, 5, 10)
-	if res, _ := c.GetLatest(consConn); res.Item.TS != 5 {
+	if res, _ := c.Get(consConn); res.Item.TS != 5 {
 		t.Fatal("first get")
 	}
 	// A second GetLatest must not return ts 5 again; it blocks for >5.
 	got := make(chan vt.Timestamp, 1)
 	go func() {
-		res, err := c.GetLatest(consConn)
+		res, err := c.Get(consConn)
 		if err != nil {
 			got <- vt.None
 			return
@@ -160,7 +160,7 @@ func TestUnattachedConnections(t *testing.T) {
 	if _, err := c.Put(graph.ConnID(99), &Item{TS: 1}); !errors.Is(err, ErrNotAttached) {
 		t.Fatalf("unattached put err = %v", err)
 	}
-	if _, err := c.GetLatest(graph.ConnID(99)); !errors.Is(err, ErrNotAttached) {
+	if _, err := c.Get(graph.ConnID(99)); !errors.Is(err, ErrNotAttached) {
 		t.Fatalf("unattached get err = %v", err)
 	}
 	if _, err := c.GetAt(graph.ConnID(99), 1); !errors.Is(err, ErrNotAttached) {
@@ -172,7 +172,7 @@ func TestCloseWakesBlockedGetters(t *testing.T) {
 	c := newTestChannel(nil)
 	errs := make(chan error, 1)
 	go func() {
-		_, err := c.GetLatest(consConn)
+		_, err := c.Get(consConn)
 		errs <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -233,7 +233,7 @@ func TestDGCCollectsOnConsumption(t *testing.T) {
 	for ts := vt.Timestamp(1); ts <= 5; ts++ {
 		put(t, c, ts, 100)
 	}
-	res, err := c.GetLatest(consConn)
+	res, err := c.Get(consConn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,14 +261,14 @@ func TestDGCWaitsForSlowestConsumer(t *testing.T) {
 	for ts := vt.Timestamp(1); ts <= 3; ts++ {
 		put(t, c, ts, 100)
 	}
-	if _, err := c.GetLatest(consConn); err != nil { // fast consumer at 3
+	if _, err := c.Get(consConn); err != nil { // fast consumer at 3
 		t.Fatal(err)
 	}
 	// Slow consumer hasn't consumed: nothing may be freed.
 	if n, _ := c.Occupancy(); n != 3 {
 		t.Fatalf("occupancy = %d, want 3 (slow consumer holds items)", n)
 	}
-	if _, err := c.GetLatest(consConn2); err != nil {
+	if _, err := c.Get(consConn2); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := c.Occupancy(); n != 0 {
@@ -282,7 +282,7 @@ func TestDetachConsumerReleasesItems(t *testing.T) {
 	c.AttachConsumer(consConn, 1)
 	c.AttachConsumer(consConn2, 1)
 	put(t, c, 1, 100)
-	if _, err := c.GetLatest(consConn); err != nil {
+	if _, err := c.Get(consConn); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := c.Occupancy(); n != 1 {
@@ -302,11 +302,11 @@ func TestGetGoneAfterCollection(t *testing.T) {
 	put(t, c, 1, 10)
 	put(t, c, 2, 10)
 	// Consumer 1 takes latest (2): item 1 skipped but retained for c2.
-	if _, err := c.GetLatest(consConn); err != nil {
+	if _, err := c.Get(consConn); err != nil {
 		t.Fatal(err)
 	}
 	// Consumer 2 also takes latest: item 1 now dead and freed.
-	if res, err := c.GetLatest(consConn2); err != nil || res.Item.TS != 2 {
+	if res, err := c.Get(consConn2); err != nil || res.Item.TS != 2 {
 		t.Fatal(err)
 	}
 	// A third consumer attached late cannot get item 1: it is gone.
@@ -339,7 +339,7 @@ func TestCapacityBlocksPut(t *testing.T) {
 	default:
 	}
 	// Consuming frees both items (DGC) and unblocks the put.
-	if _, err := c.GetLatest(consConn); err != nil {
+	if _, err := c.Get(consConn); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -359,7 +359,7 @@ func TestStatsAndOccupancy(t *testing.T) {
 	if n, b := c.Occupancy(); n != 2 || b != 150 {
 		t.Fatalf("occupancy = %d/%d", n, b)
 	}
-	if _, err := c.GetLatest(consConn); err != nil {
+	if _, err := c.Get(consConn); err != nil {
 		t.Fatal(err)
 	}
 	puts, frees := c.Stats()
@@ -374,7 +374,7 @@ func TestStatsAndOccupancy(t *testing.T) {
 func TestFreedItemDropsPayload(t *testing.T) {
 	c := newTestChannel(gc.NewDeadTimestamp())
 	it := put(t, c, 1, 100)
-	if _, err := c.GetLatest(consConn); err != nil {
+	if _, err := c.Get(consConn); err != nil {
 		t.Fatal(err)
 	}
 	if it.Payload != nil {
@@ -410,7 +410,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 			defer wg.Done()
 			last := vt.None
 			for {
-				res, err := c.GetLatest(conn)
+				res, err := c.Get(conn)
 				if errors.Is(err, ErrClosed) {
 					return
 				}
@@ -441,14 +441,14 @@ func TestWouldBeDead(t *testing.T) {
 	}
 	put(t, c, 1, 10)
 	put(t, c, 2, 10)
-	if _, err := c.GetLatest(consConn); err != nil { // consumer 1 at 2
+	if _, err := c.Get(consConn); err != nil { // consumer 1 at 2
 		t.Fatal(err)
 	}
 	// Consumer 2 still at None: ts ≤ 2 not provably dead.
 	if c.WouldBeDead(1) {
 		t.Error("slow consumer keeps ts 1 potentially alive")
 	}
-	if _, err := c.GetLatest(consConn2); err != nil { // consumer 2 at 2
+	if _, err := c.Get(consConn2); err != nil { // consumer 2 at 2
 		t.Fatal(err)
 	}
 	if !c.WouldBeDead(1) || !c.WouldBeDead(2) {

@@ -106,7 +106,7 @@ func TestChannelMatchesReferenceModel(t *testing.T) {
 			case op < 9: // TryGetLatest on a random consumer
 				c := consumers[rng.Intn(len(consumers))]
 				want := ref.maxLiveAbove(ref.guarantees[c])
-				res, ok, err := ch.TryGetLatest(c)
+				res, ok, err := ch.TryGet(c)
 				if err != nil {
 					t.Fatalf("seed %d round %d: try: %v", seed, round, err)
 				}

@@ -86,7 +86,7 @@ func TestChannelConcurrentWindowConsumersProperty(t *testing.T) {
 			lastHead := vt.None
 			lastGuarantee := vt.None
 			for {
-				res, err := c.GetLatest(cc)
+				res, err := c.Get(cc)
 				if errors.Is(err, ErrClosed) {
 					return
 				}

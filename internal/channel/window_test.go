@@ -22,7 +22,7 @@ func TestWindowDeliversTrailingItems(t *testing.T) {
 	for ts := vt.Timestamp(1); ts <= 5; ts++ {
 		put(t, c, ts, 10)
 	}
-	res, err := c.GetLatest(consConn)
+	res, err := c.Get(consConn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +48,11 @@ func TestWindowSlidesAcrossCalls(t *testing.T) {
 	c := newWindowChannel(t, 3)
 	put(t, c, 1, 10)
 	put(t, c, 2, 10)
-	if res, err := c.GetLatest(consConn); err != nil || res.Item.TS != 2 {
+	if res, err := c.Get(consConn); err != nil || res.Item.TS != 2 {
 		t.Fatalf("first head: %v %v", res.Item.TS, err)
 	}
 	put(t, c, 3, 10)
-	res, err := c.GetLatest(consConn)
+	res, err := c.Get(consConn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestWindowWidthOnePreservesOldSemantics(t *testing.T) {
 	c := newWindowChannel(t, 1)
 	put(t, c, 1, 10)
 	put(t, c, 2, 10)
-	res, err := c.GetLatest(consConn)
+	res, err := c.Get(consConn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestWindowWidthOnePreservesOldSemantics(t *testing.T) {
 func TestWindowPartiallyFilled(t *testing.T) {
 	c := newWindowChannel(t, 4)
 	put(t, c, 1, 10)
-	res, err := c.GetLatest(consConn)
+	res, err := c.Get(consConn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +99,12 @@ func TestWindowPartiallyFilled(t *testing.T) {
 
 func TestWindowTryGetLatest(t *testing.T) {
 	c := newWindowChannel(t, 2)
-	if _, ok, err := c.TryGetLatest(consConn); err != nil || ok {
+	if _, ok, err := c.TryGet(consConn); err != nil || ok {
 		t.Fatal("empty try must miss")
 	}
 	put(t, c, 1, 10)
 	put(t, c, 2, 10)
-	res, ok, err := c.TryGetLatest(consConn)
+	res, ok, err := c.TryGet(consConn)
 	if err != nil || !ok {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestWindowTryGetLatest(t *testing.T) {
 		t.Fatalf("try window: %+v", res)
 	}
 	// Same head is not re-delivered.
-	if _, ok, _ := c.TryGetLatest(consConn); ok {
+	if _, ok, _ := c.TryGet(consConn); ok {
 		t.Fatal("stale head re-delivered")
 	}
 }
@@ -127,13 +127,13 @@ func TestWindowMixedConsumers(t *testing.T) {
 	for ts := vt.Timestamp(1); ts <= 5; ts++ {
 		put(t, c, ts, 10)
 	}
-	if _, err := c.GetLatest(consConn); err != nil { // plain: guarantee 5
+	if _, err := c.Get(consConn); err != nil { // plain: guarantee 5
 		t.Fatal(err)
 	}
 	if n, _ := c.Occupancy(); n != 5 {
 		t.Fatalf("window consumer must retain everything, occupancy %d", n)
 	}
-	if _, err := c.GetLatest(consConn2); err != nil { // window: guarantee 3
+	if _, err := c.Get(consConn2); err != nil { // window: guarantee 3
 		t.Fatal(err)
 	}
 	// min(5, 3) = 3 → items 1..3 freed, 4, 5 retained.
@@ -160,7 +160,7 @@ func TestWindowTryGetLatestWideWindow(t *testing.T) {
 	for ts := vt.Timestamp(1); ts <= 5; ts++ {
 		put(t, c, ts, 10)
 	}
-	res, ok, err := c.TryGetLatest(consConn)
+	res, ok, err := c.TryGet(consConn)
 	if err != nil || !ok {
 		t.Fatalf("try must hit: ok=%v err=%v", ok, err)
 	}
@@ -182,7 +182,7 @@ func TestWindowTryGetLatestWideWindow(t *testing.T) {
 		t.Fatalf("occupancy = %d, want 2 retained", n)
 	}
 	// Nothing newer than the last head: miss without state change.
-	if _, ok, _ := c.TryGetLatest(consConn); ok {
+	if _, ok, _ := c.TryGet(consConn); ok {
 		t.Fatal("stale head re-delivered")
 	}
 	if g := c.Guarantee(consConn); g != 3 {
@@ -198,11 +198,11 @@ func TestWindowTryGetLatestSlides(t *testing.T) {
 	for ts := vt.Timestamp(1); ts <= 5; ts++ {
 		put(t, c, ts, 10)
 	}
-	if _, ok, err := c.TryGetLatest(consConn); err != nil || !ok {
+	if _, ok, err := c.TryGet(consConn); err != nil || !ok {
 		t.Fatal("first try must hit")
 	}
 	put(t, c, 6, 10)
-	res, ok, err := c.TryGetLatest(consConn)
+	res, ok, err := c.TryGet(consConn)
 	if err != nil || !ok {
 		t.Fatal("second try must hit")
 	}
@@ -229,7 +229,7 @@ func TestWindowTryGetLatestSparse(t *testing.T) {
 	c := newWindowChannel(t, 4)
 	put(t, c, 1, 10)
 	put(t, c, 2, 10)
-	res, ok, err := c.TryGetLatest(consConn)
+	res, ok, err := c.TryGet(consConn)
 	if err != nil || !ok {
 		t.Fatal("try must hit")
 	}

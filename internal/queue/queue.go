@@ -126,26 +126,11 @@ func (q *Queue) FailConsumer(conn graph.ConnID) {
 	}
 }
 
-// Put enqueues an item, blocking while a bounded queue is full. The
-// returned duration is time spent blocked.
+// Put enqueues an item, blocking while a bounded queue is full: a
+// PutBatch of one. The returned duration is time spent blocked.
 func (q *Queue) Put(conn graph.ConnID, it *Item) (time.Duration, error) {
-	q.Mu.Lock()
-	defer q.Mu.Unlock()
-	if err := q.CheckProducerLocked(conn); err != nil {
-		return 0, err
-	}
-	blocked, err := q.AwaitCapacityLocked()
-	if err != nil {
-		return blocked, err
-	}
-	if q.ClosedLocked() {
-		return blocked, ErrClosed
-	}
-	q.items = append(q.items, it)
-	q.AccountPutLocked(it)
-	// One item: wake exactly one (interchangeable) consumer.
-	q.SignalConsumerLocked()
-	return blocked, nil
+	_, blocked, err := q.PutBatch(conn, []*Item{it})
+	return blocked, err
 }
 
 // PutBatch enqueues items in order under one lock acquisition, stopping
@@ -194,30 +179,20 @@ func (q *Queue) PutBatch(conn graph.ConnID, items []*Item) (int, time.Duration, 
 	return applied, blocked, err
 }
 
-// Get dequeues the oldest item, blocking until one is available. A closed
-// queue drains remaining items before reporting ErrClosed.
+// Get dequeues the oldest item, blocking until one is available: a
+// GetBatch of one. A closed queue drains remaining items before
+// reporting ErrClosed.
 func (q *Queue) Get(conn graph.ConnID) (GetResult, error) {
-	q.Mu.Lock()
-	defer q.Mu.Unlock()
-	if _, err := q.ConsumerLocked(conn); err != nil {
-		return GetResult{}, err
-	}
-	start := q.Clock().Now()
-	for {
-		if q.queued() > 0 {
-			res := GetResult{Item: q.dequeueLocked(), Blocked: q.Clock().Now() - start}
-			return res, nil
-		}
-		// Sealed and empty: the backlog is flushed and nothing new can
-		// arrive — terminate like a close.
-		if q.ClosedLocked() || q.SealedLocked() {
-			return GetResult{Blocked: q.Clock().Now() - start}, ErrClosed
-		}
-		if q.ProducersExhaustedLocked() {
-			return GetResult{Blocked: q.Clock().Now() - start}, fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, q.Name())
-		}
-		q.WaitConsumer()
-	}
+	var one [1]GetResult
+	_, err := q.get(conn, one[:], true)
+	return one[0], err
+}
+
+// TryGet is the non-blocking Get: ok is false when the queue is empty.
+func (q *Queue) TryGet(conn graph.ConnID) (res GetResult, ok bool, err error) {
+	var one [1]GetResult
+	n, err := q.get(conn, one[:], false)
+	return one[0], n == 1, err
 }
 
 // GetBatch dequeues up to len(dst) items in FIFO order under one lock
@@ -226,48 +201,47 @@ func (q *Queue) GetBatch(conn graph.ConnID, dst []GetResult) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
+	return q.get(conn, dst, true)
+}
+
+// get dequeues up to len(dst) ≥ 1 items in FIFO order. With block set it
+// waits for the first item and dst[0].Blocked carries the wait (also on
+// error); without it an empty queue returns (0, nil). A sealed or closed
+// queue drains its backlog before reporting ErrClosed.
+func (q *Queue) get(conn graph.ConnID, dst []GetResult, block bool) (int, error) {
 	q.Mu.Lock()
 	defer q.Mu.Unlock()
 	if _, err := q.ConsumerLocked(conn); err != nil {
 		return 0, err
 	}
-	start := q.Clock().Now()
+	var start time.Duration
+	if block {
+		start = q.Clock().Now()
+	}
 	for {
-		if avail := q.queued(); avail > 0 {
-			n := min(avail, len(dst))
+		n := min(q.queued(), len(dst))
+		var err error
+		switch {
+		case n > 0:
 			for i := 0; i < n; i++ {
 				dst[i] = GetResult{Item: q.dequeueLocked()}
 			}
+			q.NoteDeliveredLocked(n)
+		case q.ClosedLocked() || q.SealedLocked():
+			// Sealed and empty: the backlog is flushed and nothing new
+			// can arrive — terminate like a close.
+			err = ErrClosed
+		case q.ProducersExhaustedLocked():
+			err = fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, q.Name())
+		case block:
+			q.WaitConsumer()
+			continue
+		}
+		if block {
 			dst[0].Blocked = q.Clock().Now() - start
-			return n, nil
 		}
-		if q.ClosedLocked() || q.SealedLocked() {
-			return 0, ErrClosed
-		}
-		if q.ProducersExhaustedLocked() {
-			return 0, fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, q.Name())
-		}
-		q.WaitConsumer()
+		return n, err
 	}
-}
-
-// TryGet is the non-blocking Get: ok is false when the queue is empty.
-func (q *Queue) TryGet(conn graph.ConnID) (res GetResult, ok bool, err error) {
-	q.Mu.Lock()
-	defer q.Mu.Unlock()
-	if _, err := q.ConsumerLocked(conn); err != nil {
-		return GetResult{}, false, err
-	}
-	if q.queued() == 0 {
-		if q.ClosedLocked() || q.SealedLocked() {
-			return GetResult{}, false, ErrClosed
-		}
-		if q.ProducersExhaustedLocked() {
-			return GetResult{}, false, fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, q.Name())
-		}
-		return GetResult{}, false, nil
-	}
-	return GetResult{Item: q.dequeueLocked()}, true, nil
 }
 
 // GetAt is unsupported: a FIFO queue cannot consume by timestamp.
@@ -293,7 +267,6 @@ func (q *Queue) dequeueLocked() Item {
 		q.lastDeq = it.TS
 	}
 	res := buffer.Snapshot(it)
-	q.NoteDeliveredLocked()
 	q.AccountFreeLocked(it)
 	q.RecycleLocked(it)
 	return res

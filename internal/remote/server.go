@@ -399,10 +399,10 @@ func (s *Server) handle(sess *session, req *Request) Response {
 		var res channel.GetResult
 		var err error
 		if req.Op == OpGetLatest {
-			res, err = sess.hosted.ch.GetLatest(sess.connID)
+			res, err = sess.hosted.ch.Get(sess.connID)
 		} else {
 			var ok bool
-			res, ok, err = sess.hosted.ch.TryGetLatest(sess.connID)
+			res, ok, err = sess.hosted.ch.TryGet(sess.connID)
 			if err == nil && !ok {
 				return Response{OK: false}
 			}

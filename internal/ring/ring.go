@@ -406,36 +406,11 @@ func (r *Ring) insert(pos uint64, it *buffer.Item) {
 	r.wakeConsumer()
 }
 
-// Put inserts an item, blocking while the ring is full. SPSC mode
-// claims the tail with a plain store (the single producer owns it);
-// MPSC mode claims it with CAS.
+// Put inserts an item, blocking while the ring is full: a PutBatch of
+// one.
 func (r *Ring) Put(conn graph.ConnID, it *buffer.Item) (time.Duration, error) {
-	if err := r.checkProducer(conn); err != nil {
-		return 0, err
-	}
-	var blocked time.Duration
-	if r.mpsc.Load() {
-		return r.putMPSC(it)
-	}
-	for {
-		if r.closed.Load() {
-			return blocked, buffer.ErrClosed
-		}
-		if r.sealed.Load() {
-			return blocked, r.errSealed()
-		}
-		pos := r.tail.Load()
-		if r.slots[pos&r.mask].seq.Load() == pos {
-			r.tail.Store(pos + 1)
-			r.insert(pos, it)
-			return blocked, nil
-		}
-		d, err := r.parkProducer(pos)
-		blocked += d
-		if err != nil {
-			return blocked, err
-		}
-	}
+	_, blocked, err := r.PutBatch(conn, []*buffer.Item{it})
+	return blocked, err
 }
 
 // errSealed builds the typed drain rejection for puts into a sealed ring.
@@ -443,7 +418,8 @@ func (r *Ring) errSealed() error {
 	return fmt.Errorf("%w: put into sealed %q", buffer.ErrDraining, r.cfg.Name)
 }
 
-// putMPSC is Put with a CAS-claimed tail for concurrent producers.
+// putMPSC inserts one item through a CAS-claimed tail for concurrent
+// producers.
 func (r *Ring) putMPSC(it *buffer.Item) (time.Duration, error) {
 	var blocked time.Duration
 	for {
@@ -476,7 +452,8 @@ func (r *Ring) putMPSC(it *buffer.Item) (time.Duration, error) {
 	}
 }
 
-// PutBatch inserts items in order. In SPSC mode runs of free slots are
+// PutBatch inserts items in order, blocking while the ring is full. In
+// SPSC mode the single producer owns the tail, so runs of free slots are
 // written with one tail store and one accounting round per run; MPSC
 // mode degrades to per-item CAS claims (contended producers cannot
 // reserve runs without risking a capacity deadlock).
@@ -520,6 +497,9 @@ func (r *Ring) PutBatch(conn graph.ConnID, items []*buffer.Item) (int, time.Dura
 			}
 			continue
 		}
+		// Claim the run before publishing it, so the occupancy count
+		// (tail-head) never runs behind a pop of a published slot.
+		r.tail.Store(pos + uint64(k))
 		var bytes int64
 		for j := 0; j < k; j++ {
 			it := items[applied+j]
@@ -532,7 +512,6 @@ func (r *Ring) PutBatch(conn graph.ConnID, items []*buffer.Item) (int, time.Dura
 		// slots (consumers see only the copied values), so the whole run
 		// recycles in one pool round.
 		r.cfg.Pool.RecycleN(items[applied : applied+k])
-		r.tail.Store(pos + uint64(k))
 		r.accountPut(k, bytes)
 		r.wakeConsumer()
 		applied += k
@@ -540,51 +519,13 @@ func (r *Ring) PutBatch(conn graph.ConnID, items []*buffer.Item) (int, time.Dura
 	return applied, blocked, nil
 }
 
-// tryPop pops one item into dst if one is published, without blocking.
-// The head cursor is claimed with CAS rather than a plain store: the
-// pop path is nominally single-consumer, but shutdown's Drain runs it
-// concurrently with a consumer thread that has not yet observed the
-// stop signal, and the CAS makes that overlap safe (an uncontended CAS
-// costs the same cache-line ownership the store would).
-func (r *Ring) tryPop(dst *buffer.GetResult) bool {
-	for {
-		pos := r.head.Load()
-		s := &r.slots[pos&r.mask]
-		if s.seq.Load() != pos+1 {
-			return false
-		}
-		if !r.head.CompareAndSwap(pos, pos+1) {
-			continue // a concurrent drainer claimed pos; retry at the new head
-		}
-		// The CAS made [pos] exclusively ours: the publishing producer
-		// released it with the seq store we already observed, and no
-		// other popper can claim it now. Copy straight into dst (a local
-		// copy passed to OnFree by address would escape and cost an
-		// allocation per pop even with OnFree unset); OnFree observes
-		// the slot's item in place before the slot is wiped and released.
-		dst.Item = s.it
-		dst.Skipped = nil
-		dst.Window = nil
-		dst.Blocked = 0
-		if r.cfg.OnFree != nil {
-			r.cfg.OnFree(&s.it, r.cfg.Clock.Now())
-		}
-		s.it = buffer.Item{}
-		s.seq.Store(pos + uint64(len(r.slots)))
-		r.frees.Add(1)
-		r.liveBytes.Add(-dst.Item.Size)
-		if r.mFrees != nil {
-			r.mFrees.Inc()
-		}
-		r.wakeProducers()
-		return true
-	}
-}
-
 // popN pops up to len(dst) published items, amortizing the head claim,
 // the accounting, the OnFree clock read, and the producer wakeup over
-// the batch. Like tryPop it claims with CAS so Drain can overlap a
-// late-running consumer.
+// the batch. The head cursor is claimed with CAS rather than a plain
+// store: the pop path is nominally single-consumer, but shutdown's Drain
+// runs it concurrently with a consumer thread that has not yet observed
+// the stop signal, and the CAS makes that overlap safe (an uncontended
+// CAS costs the same cache-line ownership the store would).
 func (r *Ring) popN(dst []buffer.GetResult) int {
 	for {
 		pos := r.head.Load()
@@ -601,23 +542,27 @@ func (r *Ring) popN(dst []buffer.GetResult) int {
 		if !r.head.CompareAndSwap(pos, pos+uint64(n)) {
 			continue // lost the claim to a concurrent drainer; retry
 		}
+		// The CAS made [pos, pos+n) exclusively ours. OnFree observes each
+		// item in place, before its slot is wiped and released: passing
+		// &dst[i].Item instead would make dst escape, costing the
+		// single-item callers' one-element array an allocation per pop.
+		var at time.Duration
+		if r.cfg.OnFree != nil {
+			at = r.cfg.Clock.Now()
+		}
 		var bytes int64
 		for i := 0; i < n; i++ {
 			s := &r.slots[(pos+uint64(i))&r.mask]
-			it := s.it
+			dst[i] = buffer.GetResult{Item: s.it}
+			bytes += s.it.Size
+			if r.cfg.OnFree != nil {
+				r.cfg.OnFree(&s.it, at)
+			}
 			s.it = buffer.Item{}
 			s.seq.Store(pos + uint64(i) + uint64(len(r.slots)))
-			dst[i] = buffer.GetResult{Item: it}
-			bytes += it.Size
 		}
 		r.frees.Add(int64(n))
 		r.liveBytes.Add(-bytes)
-		if r.cfg.OnFree != nil {
-			at := r.cfg.Clock.Now()
-			for i := 0; i < n; i++ {
-				r.cfg.OnFree(&dst[i].Item, at)
-			}
-		}
 		if r.mFrees != nil {
 			r.mFrees.Add(int64(n))
 		}
@@ -626,48 +571,63 @@ func (r *Ring) popN(dst []buffer.GetResult) int {
 	}
 }
 
-// Get pops the oldest item, blocking until one is available. A closed
-// ring drains remaining items before reporting ErrClosed (queue
-// parity); once every producer has failed the same drain-then-error
-// shape applies with ErrPeerFailed.
+// Get pops the oldest item, blocking until one is available: a GetBatch
+// of one.
 func (r *Ring) Get(conn graph.ConnID) (buffer.GetResult, error) {
-	var res buffer.GetResult
+	var one [1]buffer.GetResult
+	_, err := r.pop(conn, one[:], true)
+	return one[0], err
+}
+
+// TryGet is the non-blocking Get: ok is false when the ring is empty.
+func (r *Ring) TryGet(conn graph.ConnID) (res buffer.GetResult, ok bool, err error) {
+	var one [1]buffer.GetResult
+	n, err := r.pop(conn, one[:], false)
+	return one[0], n == 1, err
+}
+
+// GetBatch pops up to len(dst) items in FIFO order, blocking only until
+// the first is available.
+func (r *Ring) GetBatch(conn graph.ConnID, dst []buffer.GetResult) (int, error) {
+	if len(dst) == 0 {
+		return 0, nil
+	}
+	return r.pop(conn, dst, true)
+}
+
+// pop pops up to len(dst) ≥ 1 items in FIFO order. With block set it
+// waits for the first item and dst[0].Blocked carries the wait (also on
+// error); without it an empty ring returns (0, nil). A closed or sealed
+// ring drains remaining items before reporting ErrClosed (queue parity);
+// once every producer has failed the same drain-then-error shape applies
+// with ErrPeerFailed.
+func (r *Ring) pop(conn graph.ConnID, dst []buffer.GetResult, block bool) (int, error) {
 	if err := r.checkConsumer(conn); err != nil {
-		return res, err
+		return 0, err
 	}
 	var blocked time.Duration
 	for {
-		if r.tryPop(&res) {
-			r.noteDelivered(1)
-			res.Blocked = blocked
-			return res, nil
+		// The terminal flags are read before popping, so an empty pop
+		// after a flag was observed has already seen every item
+		// published before it: the backlog always drains first.
+		var err error
+		switch {
+		case r.closed.Load() || r.sealed.Load():
+			err = buffer.ErrClosed
+		case r.prodsDead.Load():
+			err = fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, r.cfg.Name)
 		}
-		if r.closed.Load() {
-			// Re-check after observing closed: a pop and the close may
-			// race, and remaining items must drain first.
-			if r.tryPop(&res) {
-				r.noteDelivered(1)
-				res.Blocked = blocked
-				return res, nil
-			}
-			return buffer.GetResult{Blocked: blocked}, buffer.ErrClosed
+		if n := r.popN(dst); n > 0 {
+			r.noteDelivered(n)
+			dst[0].Blocked = blocked
+			return n, nil
 		}
-		if r.sealed.Load() {
-			// Sealed and empty: the flush is complete — terminate like a
-			// close (a pop may still race the seal, so re-check first).
-			if r.tryPop(&res) {
-				r.noteDelivered(1)
-				res.Blocked = blocked
-				return res, nil
-			}
-			return buffer.GetResult{Blocked: blocked}, buffer.ErrClosed
+		if err != nil {
+			dst[0] = buffer.GetResult{Blocked: blocked}
+			return 0, err
 		}
-		if r.prodsDead.Load() {
-			if r.tryPop(&res) {
-				res.Blocked = blocked
-				return res, nil
-			}
-			return buffer.GetResult{Blocked: blocked}, fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, r.cfg.Name)
+		if !block {
+			return 0, nil
 		}
 		blocked += r.parkConsumer()
 	}
@@ -682,81 +642,6 @@ func (r *Ring) noteDelivered(n int) {
 			r.mDrained.Add(int64(n))
 		}
 	}
-}
-
-// GetBatch pops up to len(dst) items in FIFO order, blocking only until
-// the first is available.
-func (r *Ring) GetBatch(conn graph.ConnID, dst []buffer.GetResult) (int, error) {
-	if len(dst) == 0 {
-		return 0, nil
-	}
-	if err := r.checkConsumer(conn); err != nil {
-		return 0, err
-	}
-	var blocked time.Duration
-	for {
-		if n := r.popN(dst); n > 0 {
-			r.noteDelivered(n)
-			dst[0].Blocked = blocked
-			return n, nil
-		}
-		if r.closed.Load() {
-			if n := r.popN(dst); n > 0 {
-				r.noteDelivered(n)
-				dst[0].Blocked = blocked
-				return n, nil
-			}
-			return 0, buffer.ErrClosed
-		}
-		if r.sealed.Load() {
-			if n := r.popN(dst); n > 0 {
-				r.noteDelivered(n)
-				dst[0].Blocked = blocked
-				return n, nil
-			}
-			return 0, buffer.ErrClosed
-		}
-		if r.prodsDead.Load() {
-			if n := r.popN(dst); n > 0 {
-				dst[0].Blocked = blocked
-				return n, nil
-			}
-			return 0, fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, r.cfg.Name)
-		}
-		blocked += r.parkConsumer()
-	}
-}
-
-// TryGet is the non-blocking Get: ok is false when the ring is empty.
-func (r *Ring) TryGet(conn graph.ConnID) (res buffer.GetResult, ok bool, err error) {
-	if err := r.checkConsumer(conn); err != nil {
-		return res, false, err
-	}
-	if r.tryPop(&res) {
-		r.noteDelivered(1)
-		return res, true, nil
-	}
-	if r.closed.Load() {
-		if r.tryPop(&res) {
-			r.noteDelivered(1)
-			return res, true, nil
-		}
-		return buffer.GetResult{}, false, buffer.ErrClosed
-	}
-	if r.sealed.Load() {
-		if r.tryPop(&res) {
-			r.noteDelivered(1)
-			return res, true, nil
-		}
-		return buffer.GetResult{}, false, buffer.ErrClosed
-	}
-	if r.prodsDead.Load() {
-		if r.tryPop(&res) {
-			return res, true, nil
-		}
-		return buffer.GetResult{}, false, fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, r.cfg.Name)
-	}
-	return buffer.GetResult{}, false, nil
 }
 
 // GetAt is unsupported: a FIFO ring cannot consume by timestamp.

@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -233,5 +235,103 @@ func TestProvenanceUntracedStaysEmpty(t *testing.T) {
 	}
 	if p != 0 || c != 0 {
 		t.Fatalf("untraced provenance grew: cap(produced) = %d, cap(consumed) = %d, want 0 and 0", p, c)
+	}
+}
+
+// countingClock is a real clock that counts its Now calls.
+type countingClock struct {
+	*clock.Real
+	nows atomic.Int64
+}
+
+func (c *countingClock) Now() time.Duration {
+	c.nows.Add(1)
+	return c.Real.Now()
+}
+
+// TestCtxPutGetClockReads pins the untraced hot path's clock reads: with
+// no Recorder attached the clock feeds nothing in the runtime layer, so
+// a Ctx.Put+Ctx.Get round must read it exactly as often as the same
+// round made directly against the port's buffer (which reads it for
+// blocked-time measurement and the OnFree observer).
+func TestCtxPutGetClockReads(t *testing.T) {
+	const rounds = 200
+	for _, backend := range []string{"queue", "channel"} {
+		t.Run(backend, func(t *testing.T) {
+			clk := &countingClock{Real: clock.NewReal()}
+			rt := New(Options{Clock: clk, ARU: core.PolicyOff()})
+			var buf *BufferRef
+			if backend == "queue" {
+				buf = rt.MustAddQueue("B", 0)
+			} else {
+				buf = rt.MustAddChannel("B", 0)
+			}
+			req := make(chan bool) // true: bypass the Ctx
+			ack := make(chan struct{})
+			got := make(chan [2]int64, 1)
+
+			prod := rt.MustAddThread("prod", 0, func(ctx *Ctx) error {
+				out := ctx.Outs()[0]
+				ts := vt.Timestamp(0)
+				for raw := range req {
+					ts++
+					var err error
+					if raw {
+						it := rt.pool.Get()
+						it.TS, it.Size = ts, 64
+						_, err = out.buf.Put(out.conn, it)
+					} else {
+						err = ctx.Put(out, ts, nil, 64)
+					}
+					if err != nil {
+						return err
+					}
+					ack <- struct{}{}
+				}
+				return nil
+			})
+			cons := rt.MustAddThread("cons", 0, func(ctx *Ctx) error {
+				in := ctx.Ins()[0]
+				var reads [3]int64
+				// Round 0 is a warm-up: the producer's startup reads the
+				// clock too.
+				for i, raw := range []bool{false, false, true} {
+					before := clk.nows.Load()
+					for r := 0; r < rounds; r++ {
+						req <- raw
+						<-ack
+						var err error
+						if raw {
+							_, err = in.buf.Get(in.conn)
+						} else {
+							_, err = ctx.Get(in)
+						}
+						if err != nil {
+							return err
+						}
+					}
+					reads[i] = clk.nows.Load() - before
+				}
+				close(req)
+				got <- [2]int64{reads[1], reads[2]}
+				<-ctx.Done()
+				return nil
+			})
+			prod.MustOutput(buf)
+			cons.MustInput(buf)
+
+			if err := rt.Start(); err != nil {
+				t.Fatal(err)
+			}
+			reads := <-got
+			rt.Stop()
+			if err := rt.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if reads[0] != reads[1] {
+				t.Fatalf("%d Ctx.Put+Ctx.Get rounds read the clock %d times, the same rounds on the bare buffer %d: the runtime adds %.2f reads per round",
+					rounds, reads[0], reads[1], float64(reads[0]-reads[1])/rounds)
+			}
+		})
 	}
 }

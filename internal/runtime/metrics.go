@@ -223,29 +223,11 @@ func (rt *Runtime) registerThreadInstruments(t *Thread) {
 	rt.instMu.Unlock()
 }
 
-// noteGet records one get outcome on the port's instruments: blocked
-// wait time, the consumption count, and ErrPeerFailed wakeups. One
-// branch when metrics are off.
-func (p *InPort) noteGet(blocked time.Duration, err error) {
-	if p.mGets == nil {
-		return
-	}
-	if blocked > 0 {
-		p.mGetBlocked.Observe(blocked)
-	}
-	switch {
-	case err == nil || errors.Is(err, buffer.ErrReattached):
-		p.mGets.Inc()
-	case errors.Is(err, buffer.ErrPeerFailed):
-		p.mPeerFailed.Inc()
-	}
-}
-
-// noteGetBatch is noteGet for a whole batch: the nil-handle branch runs
-// once and n successes land in one Add, so the per-item cost of metrics
-// on the batch path is zero — this is also what reclaims the metrics-on
-// overhead regression on high-rate consumers.
-func (p *InPort) noteGetBatch(n int, blocked time.Duration, err error) {
+// noteGet records one get outcome on the port's instruments: the
+// blocked wait, the n items consumed (one Add for a whole batch), and
+// ErrPeerFailed wakeups. The nil-handle branch runs once per operation,
+// so metrics cost nothing per item on the batch path.
+func (p *InPort) noteGet(n int, blocked time.Duration, err error) {
 	if p.mGets == nil {
 		return
 	}
@@ -255,7 +237,7 @@ func (p *InPort) noteGetBatch(n int, blocked time.Duration, err error) {
 	if n > 0 {
 		p.mGets.Add(int64(n))
 	}
-	if err != nil && errors.Is(err, buffer.ErrPeerFailed) {
+	if errors.Is(err, buffer.ErrPeerFailed) {
 		p.mPeerFailed.Inc()
 	}
 }

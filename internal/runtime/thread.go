@@ -268,9 +268,11 @@ type Ctx struct {
 	emitted  int
 	iters    int64
 
-	// Reused scratch for the batch and window paths: a steady-state body
-	// that batches its puts and gets allocates nothing per iteration. All
-	// are safe to reuse because Ctx is single-goroutine by contract.
+	// Reused scratch for the put, batch and window paths: a steady-state
+	// body allocates nothing per iteration. All are safe to reuse because
+	// Ctx is single-goroutine by contract. putOne is the batch of one
+	// behind Put.
+	putOne        [1]PutSpec
 	putScratch    []*buffer.Item
 	putIDScratch  []trace.ItemID
 	getScratch    []buffer.GetResult
@@ -383,17 +385,14 @@ func (c *Ctx) Get(p *InPort) (Msg, error) {
 	}
 	res, err := p.buf.Get(p.conn)
 	c.meter.AddBlocked(res.Blocked)
-	p.noteGet(res.Blocked, err)
 	if err != nil && !errors.Is(err, buffer.ErrReattached) {
+		p.noteGet(0, res.Blocked, err)
 		return Msg{}, translateErr(err)
 	}
-	msg, ferr := c.finishGet(p, res)
-	if ferr != nil {
-		return msg, ferr
-	}
+	p.noteGet(1, res.Blocked, err)
 	// err is nil or the informational ErrReattached: the item is valid
 	// and fully accounted either way.
-	return msg, err
+	return c.finishGet(p, res), err
 }
 
 // GetLatest consumes the freshest item from a get-latest (channel-like)
@@ -433,16 +432,20 @@ func (c *Ctx) GetWindow(p *InPort) (head Msg, window []Msg, err error) {
 	}
 	res, err := p.buf.Get(p.conn)
 	c.meter.AddBlocked(res.Blocked)
-	p.noteGet(res.Blocked, err)
 	if err != nil {
+		p.noteGet(0, res.Blocked, err)
 		return Msg{}, nil, translateErr(err)
 	}
+	p.noteGet(1, res.Blocked, nil)
 	rec := c.rt.opts.Recorder
-	now := c.rt.clk.Now()
+	var now time.Duration
+	if rec != nil {
+		now = c.rt.clk.Now() // the clock feeds only trace events
+	}
 	c.windowScratch = c.windowScratch[:0]
 	for _, w := range res.Window {
-		rec.Append(trace.Event{Kind: trace.EvGet, At: now, Item: w.ID, Node: p.ref.id, Thread: c.thread.id})
 		if rec != nil {
+			rec.Append(trace.Event{Kind: trace.EvGet, At: now, Item: w.ID, Node: p.ref.id, Thread: c.thread.id})
 			c.consumed = append(c.consumed, w.ID)
 		}
 		// Window members already live locally; only the head pays the
@@ -452,8 +455,7 @@ func (c *Ctx) GetWindow(p *InPort) (head Msg, window []Msg, err error) {
 	if len(c.windowScratch) > 0 {
 		window = c.windowScratch
 	}
-	head, err = c.finishGet(p, res)
-	return head, window, err
+	return c.finishGet(p, res), window, nil
 }
 
 // TryGetLatest is the non-blocking variant of Get: ok is false when no
@@ -470,18 +472,14 @@ func (c *Ctx) TryGetLatest(p *InPort) (Msg, bool, error) {
 	}
 	res, ok, err := p.buf.TryGet(p.conn)
 	if err != nil && !errors.Is(err, buffer.ErrReattached) {
-		p.noteGet(0, err)
+		p.noteGet(0, 0, err)
 		return Msg{}, false, translateErr(err)
 	}
 	if !ok {
 		return Msg{}, false, err // nil or informational ErrReattached
 	}
-	p.noteGet(0, err)
-	msg, ferr := c.finishGet(p, res)
-	if ferr != nil {
-		return msg, false, ferr
-	}
-	return msg, true, err // nil or informational ErrReattached
+	p.noteGet(1, 0, err)
+	return c.finishGet(p, res), true, err // nil or informational ErrReattached
 }
 
 // Reuse declares that a previously consumed item participates in the
@@ -507,95 +505,66 @@ func (c *Ctx) GetAt(p *InPort, ts vt.Timestamp) (Msg, error) {
 	}
 	res, err := p.buf.GetAt(p.conn, ts)
 	c.meter.AddBlocked(res.Blocked)
-	p.noteGet(res.Blocked, err)
 	if err != nil {
+		p.noteGet(0, res.Blocked, err)
 		return Msg{}, translateErr(err)
 	}
-	return c.finishGet(p, res)
+	p.noteGet(1, res.Blocked, nil)
+	return c.finishGet(p, res), nil
 }
 
-// finishGet performs the shared post-consumption work of every get
-// variant, uniformly across backends.
-func (c *Ctx) finishGet(p *InPort, res buffer.GetResult) (Msg, error) {
+// finishGet completes a single-item get as a batch of one.
+func (c *Ctx) finishGet(p *InPort, res buffer.GetResult) Msg {
+	var msg [1]Msg
+	c.finishGets(p, []buffer.GetResult{res}, msg[:])
+	return msg[0]
+}
+
+// finishGets performs the post-consumption work of every get variant,
+// uniformly across backends, and copies the results into dst. Each item
+// is traced (skipped items first) and counted as consumed — only with a
+// Recorder attached, which is also the only case the clock is read —
+// then one network transfer and one bus charge move the whole set to the
+// consumer, and one fold piggybacks the consumer's summary-STP back to
+// the buffer (§3.3.2). The results' payload references are dropped, so
+// scratch result slices never extend payload lifetimes.
+func (c *Ctx) finishGets(p *InPort, res []buffer.GetResult, dst []Msg) {
 	rec := c.rt.opts.Recorder
-	now := c.rt.clk.Now()
-	for _, sk := range res.Skipped {
-		rec.Append(trace.Event{Kind: trace.EvSkip, At: now, Item: sk.ID, Node: p.ref.id, Thread: c.thread.id})
-	}
-	rec.Append(trace.Event{Kind: trace.EvGet, At: now, Item: res.Item.ID, Node: p.ref.id, Thread: c.thread.id})
-
-	// Move the item to the consumer: network hop (if remote) plus local
-	// memory traffic. Both are load and belong in the current-STP.
-	c.rt.transfer(p.ref.host, c.thread.host, res.Item.Size)
-	c.ChargeBus(res.Item.Size)
-
-	// Piggyback the consumer's summary-STP back to the buffer (§3.3.2).
-	c.rt.ctrl.NoteGet(p.conn)
-
+	var now time.Duration
 	if rec != nil {
-		c.consumed = append(c.consumed, res.Item.ID)
+		now = c.rt.clk.Now() // the clock feeds only trace events
 	}
-	return Msg{TS: res.Item.TS, Payload: res.Item.Payload, Size: res.Item.Size, ID: res.Item.ID}, nil
+	var total int64
+	for i := range res {
+		r := &res[i]
+		if rec != nil {
+			for _, sk := range r.Skipped {
+				rec.Append(trace.Event{Kind: trace.EvSkip, At: now, Item: sk.ID, Node: p.ref.id, Thread: c.thread.id})
+			}
+			rec.Append(trace.Event{Kind: trace.EvGet, At: now, Item: r.Item.ID, Node: p.ref.id, Thread: c.thread.id})
+			c.consumed = append(c.consumed, r.Item.ID)
+		}
+		total += r.Item.Size
+		dst[i] = Msg{TS: r.Item.TS, Payload: r.Item.Payload, Size: r.Item.Size, ID: r.Item.ID}
+		*r = buffer.GetResult{}
+	}
+	// Move the items to the consumer: network hop (if remote) plus local
+	// memory traffic. Both are load and belong in the current-STP.
+	c.rt.transfer(p.ref.host, c.thread.host, total)
+	c.ChargeBus(total)
+	c.rt.ctrl.NoteGet(p.conn)
 }
 
 // Put produces an item with the given timestamp, payload, and logical
-// size into any output port. Producing charges the local bus (writing
-// size bytes) and, for a remotely placed buffer, the network. The
-// buffer's summary-STP is piggybacked back on the same operation — over
-// the wire for remote endpoints. The new item's provenance is every item
-// consumed so far in this iteration.
+// size into any output port: a PutBatch of one. Producing charges the
+// local bus (writing size bytes) and, for a remotely placed buffer, the
+// network. The buffer's summary-STP is piggybacked back on the same
+// operation — over the wire for remote endpoints. The new item's
+// provenance is every item consumed so far in this iteration.
 func (c *Ctx) Put(p *OutPort, ts vt.Timestamp, payload any, size int64) error {
-	if c.thread.quiesced.Load() {
-		// Quiesced for a graceful drain: no new work enters the graph.
-		// Rejected before any accounting — the item never existed.
-		return ErrDraining
-	}
-	rec := c.rt.opts.Recorder
-	id := rec.NewItemID()
-
-	// The producer materializes the item locally, then it travels to the
-	// buffer's host.
-	c.ChargeBus(size)
-	c.rt.transfer(c.thread.host, p.ref.host, size)
-
-	rec.Append(trace.Event{
-		Kind: trace.EvAlloc, At: c.rt.clk.Now(), Item: id,
-		Node: p.ref.id, Thread: c.thread.id, TS: ts, Size: size,
-		Items: snapshotItems(rec, c.consumed),
-	})
-
-	// The item comes from the runtime's pool: in steady state this is the
-	// Item some buffer's reclamation recycled a moment ago, so the put
-	// path performs zero allocations.
-	it := c.rt.pool.Get()
-	it.TS, it.Payload, it.Size, it.ID = ts, payload, size, id
-	blocked, err := p.buf.Put(p.conn, it)
-	c.meter.AddBlocked(blocked)
-	p.notePut(err)
-	if err != nil && !errors.Is(err, buffer.ErrReattached) {
-		// The item never entered the buffer (this includes ErrDegraded:
-		// a retry budget exhausted against an unreachable peer drops the
-		// item); account its storage as immediately reclaimed so
-		// footprint accounting stays balanced, and recycle the carrier —
-		// ownership only transfers when the put takes effect.
-		rec.Append(trace.Event{Kind: trace.EvFree, At: c.rt.clk.Now(), Item: id, Node: p.ref.id})
-		c.rt.pool.Recycle(it)
-		return translateErr(err)
-	}
-
-	// Piggyback the buffer's summary-STP back to this producer (§3.3.2).
-	c.rt.ctrl.NotePut(p.conn)
-
-	if !p.ref.caps.Remote {
-		// Remote endpoints hold their storage on the server; local
-		// footprint accounting tracks in-process buffers only.
-		c.rt.addLive(p.ref.host, size)
-	}
-	if rec != nil {
-		c.produced = append(c.produced, id)
-	}
-	// err is nil or the informational ErrReattached: the item was
-	// applied and fully accounted either way.
+	c.putOne[0] = PutSpec{TS: ts, Payload: payload, Size: size}
+	_, err := c.PutBatch(p, c.putOne[:])
+	c.putOne[0].Payload = nil // the scratch must not pin the payload
 	return err
 }
 
@@ -624,9 +593,20 @@ func (c *Ctx) PutBatch(p *OutPort, specs []PutSpec) (applied int, err error) {
 		return 0, nil
 	}
 	if c.thread.quiesced.Load() {
+		// Quiesced for a graceful drain: no new work enters the graph.
+		// Rejected before any accounting — the items never existed.
 		return 0, ErrDraining
 	}
 	rec := c.rt.opts.Recorder
+	if cap(c.putScratch) < len(specs) {
+		c.putScratch = make([]*buffer.Item, len(specs))
+		c.putIDScratch = make([]trace.ItemID, len(specs))
+	}
+	items := c.putScratch[:len(specs)]
+	ids := c.putIDScratch[:len(specs)]
+	for i := range ids {
+		ids[i] = rec.NewItemID()
+	}
 
 	// Materializing the batch touches every payload once locally, then
 	// the whole batch travels to the buffer's host in one transfer.
@@ -637,22 +617,17 @@ func (c *Ctx) PutBatch(p *OutPort, specs []PutSpec) (applied int, err error) {
 	c.ChargeBus(total)
 	c.rt.transfer(c.thread.host, p.ref.host, total)
 
-	if cap(c.putScratch) < len(specs) {
-		c.putScratch = make([]*buffer.Item, len(specs))
-		c.putIDScratch = make([]trace.ItemID, len(specs))
-	}
-	items := c.putScratch[:len(specs)]
-	ids := c.putIDScratch[:len(specs)]
-	c.rt.pool.GetN(items) // one pool round for the whole batch
+	// The carriers come from the runtime's pool in one round: in steady
+	// state they are the Items some buffer's reclamation recycled a
+	// moment ago, so the put path performs zero allocations.
+	c.rt.pool.GetN(items)
 	var now time.Duration
 	if rec != nil {
 		now = c.rt.clk.Now() // the clock feeds only trace events
 	}
 	for i := range specs {
 		it := items[i]
-		it.TS, it.Payload, it.Size = specs[i].TS, specs[i].Payload, specs[i].Size
-		it.ID = rec.NewItemID()
-		ids[i] = it.ID
+		it.TS, it.Payload, it.Size, it.ID = specs[i].TS, specs[i].Payload, specs[i].Size, ids[i]
 		if rec != nil {
 			rec.Append(trace.Event{
 				Kind: trace.EvAlloc, At: now, Item: it.ID,
@@ -684,8 +659,11 @@ func (c *Ctx) PutBatch(p *OutPort, specs []PutSpec) (applied int, err error) {
 			c.produced = append(c.produced, ids[:applied]...)
 		}
 	}
-	// items[applied:] never entered the buffer: their storage is
-	// accounted as immediately reclaimed and the carriers recycled.
+	// items[applied:] never entered the buffer (this includes
+	// ErrDegraded: a retry budget exhausted against an unreachable peer
+	// drops the item): their storage is accounted as immediately
+	// reclaimed and the carriers recycled — ownership only transfers
+	// when a put takes effect.
 	if applied < len(items) {
 		if rec != nil {
 			now := c.rt.clk.Now()
@@ -728,36 +706,11 @@ func (c *Ctx) GetBatch(p *InPort, dst []Msg) (int, error) {
 		blocked = res[0].Blocked
 	}
 	c.meter.AddBlocked(blocked)
-	p.noteGetBatch(n, blocked, err)
+	p.noteGet(n, blocked, err)
 	if err != nil && !errors.Is(err, buffer.ErrReattached) {
 		return 0, translateErr(err)
 	}
-
-	rec := c.rt.opts.Recorder
-	var now time.Duration
-	if rec != nil {
-		now = c.rt.clk.Now() // the clock feeds only trace events
-	}
-	var total int64
-	for i := 0; i < n; i++ {
-		r := &res[i]
-		if rec != nil {
-			for _, sk := range r.Skipped {
-				rec.Append(trace.Event{Kind: trace.EvSkip, At: now, Item: sk.ID, Node: p.ref.id, Thread: c.thread.id})
-			}
-			rec.Append(trace.Event{Kind: trace.EvGet, At: now, Item: r.Item.ID, Node: p.ref.id, Thread: c.thread.id})
-			c.consumed = append(c.consumed, r.Item.ID)
-		}
-		total += r.Item.Size
-		dst[i] = Msg{TS: r.Item.TS, Payload: r.Item.Payload, Size: r.Item.Size, ID: r.Item.ID}
-		*r = buffer.GetResult{} // drop payload references from the scratch
-	}
-
-	// One transfer and one bus charge move the whole batch to the
-	// consumer; one fold piggybacks the consumer's summary-STP back.
-	c.rt.transfer(p.ref.host, c.thread.host, total)
-	c.ChargeBus(total)
-	c.rt.ctrl.NoteGet(p.conn)
+	c.finishGets(p, res[:n], dst)
 	return n, err
 }
 

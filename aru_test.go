@@ -191,7 +191,7 @@ func TestPublicAPIErrShutdown(t *testing.T) {
 	rec := aru.NewRecorder()
 	rt := aru.New(aru.Options{Clock: aru.NewVirtualClock(), Recorder: rec})
 	ch := rt.MustAddChannel("c", 0)
-	p := rt.MustAddThread("p", 0, func(ctx *aru.Ctx) error { <-ctx.Done(); return nil })
+	p := rt.MustAddThread("p", 0, func(ctx *aru.Ctx) error { ctx.Park(); return nil })
 	var sawShutdown bool
 	s := rt.MustAddThread("s", 0, func(ctx *aru.Ctx) error {
 		_, err := ctx.GetLatest(ctx.Ins()[0])

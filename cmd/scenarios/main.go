@@ -15,11 +15,9 @@
 // equality (tolerance 0), catching ANY behavioral drift in the runtime,
 // the estimators, or the generator — not just large regressions. A
 // nonzero -tolerance relaxes the comparison to the headline rates for
-// bisecting an intentional behavior change. A cell that misses its pin
-// is re-measured best-of-3 before it is called a regression, matching
-// the other benches' idiom; for a deterministic bench a mismatch that
-// vanishes on re-run is itself reported, since it means the determinism
-// contract broke.
+// bisecting an intentional behavior change. The clock fixes the order
+// in which a cell's threads run, on any number of processors, so a cell
+// that misses its pin is a regression outright; it is not re-measured.
 //
 // The AIMD differential is asserted outright on every (topology, shape)
 // pair: the damped estimator must not drop more items than raw
@@ -117,7 +115,7 @@ func main() {
 	}
 
 	if *check != "" {
-		checkAgainst(*check, &rep, cells, *seed, *duration, *tolerance)
+		checkAgainst(*check, &rep, *seed, *tolerance)
 	}
 }
 
@@ -203,7 +201,7 @@ func variantSuffix(drain, elastic bool) string {
 // checkAgainst compares fresh cells to the pinned report. Tolerance 0
 // demands byte-identical metric snapshots (the determinism contract);
 // a nonzero tolerance compares only emitted/drops rates fractionally.
-func checkAgainst(path string, rep *Report, cells []cellSpec, seed uint64, duration time.Duration, tolerance float64) {
+func checkAgainst(path string, rep *Report, seed uint64, tolerance float64) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		fatal("read %s: %v", path, err)
@@ -219,10 +217,6 @@ func checkAgainst(path string, rep *Report, cells []cellSpec, seed uint64, durat
 	for _, cm := range pinned.Cells {
 		base[cellKey(cm)] = cm
 	}
-	specByKey := make(map[string]cellSpec, len(cells))
-	for _, c := range cells {
-		specByKey[fmt.Sprintf("%s/%s/%s/f%d%s", c.topo, c.shape, c.est, c.failures, variantSuffix(c.drain, c.elastic))] = c
-	}
 
 	failed := false
 	for _, cm := range rep.Cells {
@@ -231,19 +225,6 @@ func checkAgainst(path string, rep *Report, cells []cellSpec, seed uint64, durat
 			continue // new cell, nothing pinned yet
 		}
 		if cellMatches(cm, want, tolerance) {
-			continue
-		}
-		// Best-of-3 before declaring a regression. A deterministic cell
-		// re-measures identically; if a retry DOES match, the cell is
-		// nondeterministic — a worse finding than the mismatch.
-		matched := false
-		for retry := 0; retry < 2 && !matched; retry++ {
-			again := measure(specByKey[cellKey(cm)], seed, duration)
-			matched = cellMatches(again, want, tolerance)
-		}
-		if matched {
-			failed = true
-			fmt.Fprintf(os.Stderr, "NONDETERMINISM %s: first run missed the pin, a re-run matched it\n", cellKey(cm))
 			continue
 		}
 		failed = true

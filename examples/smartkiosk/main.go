@@ -68,18 +68,22 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Participate in the virtual clock from before Start until after
+		// Stop, so no thread runs past the run's end before shutdown.
+		type registrar interface{ Add(int) }
+		reg, hasReg := app.Runtime.Clock().(registrar)
+		if hasReg {
+			reg.Add(1)
+		}
 		if err := app.Runtime.Start(); err != nil {
 			log.Fatal(err)
 		}
-		// Participate in the virtual clock for the run's duration.
-		type registrar interface{ Add(int) }
-		if reg, ok := app.Runtime.Clock().(registrar); ok {
-			reg.Add(1)
-			app.Runtime.Clock().Sleep(v.dur)
-			reg.Add(-1)
-		}
+		app.Runtime.Clock().Sleep(v.dur)
 		depth, _ := app.Runtime.Buffer(app.DecisionQueue).Occupancy()
 		app.Runtime.Stop()
+		if hasReg {
+			reg.Add(-1)
+		}
 		if err := app.Runtime.Wait(); err != nil {
 			log.Fatal(err)
 		}
@@ -194,6 +198,15 @@ func runCrashy(metricsAddr string) {
 	})
 	gui.MustInput(tracked)
 
+	// On the discrete-event clock this goroutine sleeps as a registered
+	// participant, from before Start until after Stop, so the threads
+	// cannot run ahead of it; the wall clock has no registrar and needs
+	// none.
+	type registrar interface{ Add(int) }
+	reg, hasReg := rt.Clock().(registrar)
+	if hasReg {
+		reg.Add(1)
+	}
 	if err := rt.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -202,14 +215,7 @@ func runCrashy(metricsAddr string) {
 	}
 
 	// Sample health mid-run, while the supervisor is actively containing
-	// panics and restarting the digitizer. (The registrar dance keeps the
-	// discrete-event clock advancing while this goroutine sleeps; the wall
-	// clock has no registrar and needs none.)
-	type registrar interface{ Add(int) }
-	reg, hasReg := rt.Clock().(registrar)
-	if hasReg {
-		reg.Add(1)
-	}
+	// panics and restarting the digitizer.
 	rt.Clock().Sleep(3 * time.Second)
 	fmt.Println("--- t=3s: panics contained, digitizer restarting on backoff ---")
 	printHealth(rt.Health())
@@ -218,10 +224,10 @@ func runCrashy(metricsAddr string) {
 	// fails permanently, its death fades the STP feedback, and the
 	// tracker/GUI observe ErrPeerFailed once the pipeline drains.
 	rt.Clock().Sleep(12 * time.Second)
+	rt.Stop()
 	if hasReg {
 		reg.Add(-1)
 	}
-	rt.Stop()
 	err := rt.Wait()
 
 	fmt.Println()

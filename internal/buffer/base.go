@@ -48,19 +48,18 @@ type Consumer struct {
 	WindowScratch  []Item
 }
 
-// Base owns the machinery every in-process buffer backend needs: the
-// notEmpty/notFull condition-variable pair with discrete-event-clock-aware
-// waits, producer/consumer attachment maps, capacity blocking with
-// blocked-time measurement, and liveBytes/puts/frees accounting. Backends
-// embed it and add their storage discipline (a timestamp-indexed map plus
-// live set for channels, a head-indexed slice for queues).
+// Base owns the machinery every in-process buffer backend needs: FIFO
+// queues of parked consumers and producers whose waits go through the
+// clock (clock.Park/Ready), producer/consumer attachment maps, capacity
+// blocking with blocked-time measurement, and liveBytes/puts/frees
+// accounting. Backends embed it and add their storage discipline (a
+// timestamp-indexed map plus live set for channels, a head-indexed slice
+// for queues).
 //
-// Blocking is split across two condition variables so wakeups are
-// targeted: consumers waiting for fresh data park on notEmpty (signaled by
-// puts and close), producers waiting for capacity park on notFull
-// (signaled by frees and close). Before the split a single condvar was
-// broadcast on every put and every guarantee advance, thundering-herding
-// every waiter on every operation.
+// Consumers waiting for fresh data park on consQ (woken by puts and
+// close), producers waiting for capacity on prodQ (woken by frees and
+// close). A waker readies exactly the waiters it wakes, oldest first, so
+// a discrete-event clock hands them the turn in a defined order.
 type Base struct {
 	// Cfg is the buffer's configuration with defaults applied (Clock and
 	// Collector are never nil after Init).
@@ -71,10 +70,10 @@ type Base struct {
 
 	// Mu guards all mutable state of the Base and of the embedding
 	// backend.
-	Mu       sync.Mutex
-	notEmpty *sync.Cond // consumers: a fresh item arrived (or closed)
-	notFull  *sync.Cond // producers: capacity freed (or closed)
-	consWait int        // consumers currently parked on notEmpty
+	Mu    sync.Mutex
+	consQ []clock.Ticket // consumers parked for a fresh item (or close)
+	prodQ []clock.Ticket // producers parked for capacity (or close)
+	free  []clock.Ticket // tickets for reuse: a parked wait allocates nothing
 
 	// Consumers and Producers are the attachment maps.
 	Consumers map[graph.ConnID]*Consumer
@@ -121,8 +120,8 @@ type Base struct {
 }
 
 // Init prepares the Base: applies Config defaults (real clock, no-op
-// collector), allocates the attachment maps and condition variables, and
-// stores the backend's live-item counter used for capacity blocking.
+// collector), allocates the attachment maps, and stores the backend's
+// live-item counter used for capacity blocking.
 func (b *Base) Init(cfg Config, occupied func() int) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewReal()
@@ -134,8 +133,6 @@ func (b *Base) Init(cfg Config, occupied func() int) {
 	}
 	b.Consumers = make(map[graph.ConnID]*Consumer)
 	b.Producers = make(map[graph.ConnID]bool)
-	b.notEmpty = sync.NewCond(&b.Mu)
-	b.notFull = sync.NewCond(&b.Mu)
 	b.occupied = occupied
 	if reg := cfg.Metrics; reg != nil {
 		ls := cfg.MetricLabels()
@@ -158,56 +155,45 @@ func (b *Base) Node() graph.NodeID { return b.Cfg.Node }
 // Clock returns the buffer's clock (never nil after Init).
 func (b *Base) Clock() clock.Clock { return b.Cfg.Clock }
 
-// wait parks the caller on the given condition variable, telling a
-// discrete-event clock (if one is in use) that the goroutine is blocked
-// so virtual time may advance.
-func (b *Base) wait(cond *sync.Cond) {
-	if bl, ok := b.Cfg.Clock.(clock.Blocker); ok {
-		bl.BlockEnter()
-		cond.Wait()
-		bl.BlockExit()
-		return
+// park queues the caller on q and blocks it, Mu released, until a waker
+// readies its ticket; it returns with Mu held again.
+func (b *Base) park(q *[]clock.Ticket) {
+	var tk clock.Ticket
+	if n := len(b.free); n > 0 {
+		tk, b.free = b.free[n-1], b.free[:n-1]
+	} else {
+		tk = clock.NewTicket()
 	}
-	cond.Wait()
+	*q = append(*q, tk)
+	b.Mu.Unlock()
+	clock.Park(b.Cfg.Clock, tk)
+	b.Mu.Lock()
+	b.free = append(b.free, tk)
 }
 
-// WaitConsumer parks a consumer on notEmpty, maintaining the waiter
-// count that lets puts choose Signal over Broadcast.
-func (b *Base) WaitConsumer() {
-	b.consWait++
-	b.wait(b.notEmpty)
-	b.consWait--
+// wakeLocked readies the n oldest waiters on q, or all of them when n is
+// negative or exceeds the queue.
+func (b *Base) wakeLocked(q *[]clock.Ticket, n int) {
+	w := *q
+	if n < 0 || n > len(w) {
+		n = len(w)
+	}
+	for _, tk := range w[:n] {
+		clock.Ready(b.Cfg.Clock, tk)
+	}
+	rest := copy(w, w[n:])
+	clear(w[rest:])
+	*q = w[:rest]
 }
 
-// WakeConsumersLocked wakes consumers after a put. The single parked
-// consumer — by far the common case — is woken with Signal; only when
-// several consumers (with heterogeneous wait predicates: get-latest
-// versus get-at-ts) are parked does it fall back to Broadcast.
-func (b *Base) WakeConsumersLocked() {
-	switch {
-	case b.consWait == 0:
-	case b.consWait == 1:
-		b.notEmpty.Signal()
-	default:
-		b.notEmpty.Broadcast()
-	}
-}
+// WaitConsumer parks a consumer until a put, a failure or a close wakes
+// it; the caller re-checks its predicate.
+func (b *Base) WaitConsumer() { b.park(&b.consQ) }
 
 // SignalConsumersLocked wakes up to n parked consumers — one per newly
-// enqueued item, capped at the number actually waiting. FIFO backends
-// use it on batch puts so a k-item batch costs min(k, waiters) signals
-// instead of k.
-func (b *Base) SignalConsumersLocked(n int) {
-	switch {
-	case b.consWait == 0:
-	case n >= b.consWait:
-		b.notEmpty.Broadcast()
-	default:
-		for i := 0; i < n; i++ {
-			b.notEmpty.Signal()
-		}
-	}
-}
+// enqueued item. FIFO backends use it on puts so a k-item batch wakes
+// min(k, waiters) consumers.
+func (b *Base) SignalConsumersLocked(n int) { b.wakeLocked(&b.consQ, n) }
 
 // AtCapacityLocked reports whether a put would block right now. Batch
 // puts consult it before each insert so they can publish (and wake
@@ -241,7 +227,7 @@ func (b *Base) AwaitCapacityLocked() (time.Duration, error) {
 			b.accountPutBlockedLocked(d)
 			return d, fmt.Errorf("%w: all consumers of %q failed while producer blocked on capacity", ErrPeerFailed, b.Cfg.Name)
 		}
-		b.wait(b.notFull)
+		b.park(&b.prodQ)
 	}
 	d := b.Cfg.Clock.Now() - start
 	if d > 0 {
@@ -300,10 +286,11 @@ func (b *Base) ConsumersExhaustedLocked() bool {
 	return b.consFailed > 0 && len(b.Consumers) == 0
 }
 
-// BroadcastConsumersLocked wakes every parked consumer (used when the
-// last producer fails so blocked gets re-check the exhaustion
-// predicate).
-func (b *Base) BroadcastConsumersLocked() { b.notEmpty.Broadcast() }
+// BroadcastConsumersLocked wakes every parked consumer: after a put into
+// a channel (its consumers wait on heterogeneous predicates), and when
+// the last producer fails so blocked gets re-check the exhaustion
+// predicate.
+func (b *Base) BroadcastConsumersLocked() { b.wakeLocked(&b.consQ, -1) }
 
 // CheckProducerLocked validates that conn is an attached producer.
 func (b *Base) CheckProducerLocked(conn graph.ConnID) error {
@@ -383,7 +370,7 @@ func (b *Base) AccountFreeLocked(it *Item) {
 		b.Cfg.OnFree(it, b.Cfg.Clock.Now())
 	}
 	if b.Cfg.Capacity > 0 {
-		b.notFull.Signal()
+		b.wakeLocked(&b.prodQ, 1)
 	}
 }
 
@@ -471,14 +458,14 @@ func (b *Base) ClosedLocked() bool { return b.closed }
 // BroadcastLocked wakes every blocked operation (used on close and
 // drain).
 func (b *Base) BroadcastLocked() {
-	b.notEmpty.Broadcast()
-	b.notFull.Broadcast()
+	b.wakeLocked(&b.consQ, -1)
+	b.wakeLocked(&b.prodQ, -1)
 }
 
 // BroadcastFullLocked wakes all capacity waiters (used by Drain, which
 // frees slots without going through AccountFreeLocked's one-signal-per-
 // slot discipline).
-func (b *Base) BroadcastFullLocked() { b.notFull.Broadcast() }
+func (b *Base) BroadcastFullLocked() { b.wakeLocked(&b.prodQ, -1) }
 
 // Closed reports whether Close has been called.
 func (b *Base) Closed() bool {

@@ -1,9 +1,9 @@
 // Package buffer defines the pluggable buffer-endpoint layer of the
 // runtime: the Buffer interface every timestamped buffer backend
 // implements, the shared Item/GetResult types, and a Base that owns the
-// machinery every in-process backend needs (condition variables,
-// discrete-event-clock-aware waits, attachment maps, capacity blocking,
-// and puts/frees/liveBytes accounting).
+// machinery every in-process backend needs (wait queues parked through
+// the clock, attachment maps, capacity blocking, and puts/frees/liveBytes
+// accounting).
 //
 // The paper treats threads, channels, and queues as uniform task-graph
 // nodes that all relay summary-STP feedback; this package is the code

@@ -12,7 +12,7 @@
 // no consumer can name anymore.
 //
 // Channel is a buffer.Buffer backend (registered as "channel"): the
-// condvar pair, clock-aware waits, attachment maps, capacity blocking, and
+// clock-aware wait queues, attachment maps, capacity blocking, and
 // puts/frees/liveBytes accounting all live in the embedded buffer.Base;
 // this package adds only the channel discipline — the timestamp-indexed
 // item map, the sorted live set, get-latest/sliding-window delivery, and
@@ -208,7 +208,7 @@ func (c *Channel) PutBatch(conn graph.ConnID, items []*Item) (int, time.Duration
 			c.AccountPutBatchLocked(items[flushed:applied])
 			flushed = applied
 			c.collectLocked()
-			c.WakeConsumersLocked()
+			c.BroadcastConsumersLocked()
 		}
 	}
 	var err error

@@ -1,180 +1,231 @@
 package clock
 
 import (
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Virtual is a discrete-event clock: virtual time stands still while any
-// registered goroutine is runnable and jumps to the next sleeper's
-// deadline once every participant is blocked (sleeping on the clock or
-// parked in a buffer wait). Simulated workloads run as fast as the host
-// can execute them, with microsecond-exact virtual durations — essential
-// on small hosts where real time.Sleep granularity would distort
-// millisecond-scale stage periods.
+// Virtual is a discrete-event clock run as a cooperative scheduler:
+// registered participants take turns, one at a time, and virtual time
+// jumps to the next sleeper's deadline only when nobody holds or awaits
+// the turn. Simulated workloads run as fast as the host can execute them,
+// with microsecond-exact virtual durations, and the order in which
+// participants run is fixed by the clock, not by the Go scheduler, so a
+// run repeats exactly on any number of processors.
 //
 // Protocol:
 //
-//   - Every goroutine that calls Sleep must be registered: Add(1) before
-//     its first clock use, Add(-1) when it exits.
-//   - Code that blocks a registered goroutine on anything other than
-//     Sleep (condition variables in buffers) must bracket the wait with
-//     BlockEnter/BlockExit so the clock knows the goroutine is parked.
+//   - A goroutine that uses the clock must be a participant: started with
+//     Go, which queues it for its first turn, or registered with Add(1)
+//     while it runs freely and Add(-1) when it exits.
+//   - A participant blocks only through the clock: Sleep, or Park on a
+//     Ticket that another goroutine Readies. Blocking on anything else
+//     keeps the turn and so stalls every participant.
 //
-// Advancement is guarded by a quiescence check: when the active count
-// hits zero, a one-shot advancer re-verifies quiescence across several
-// scheduler yields before jumping, so goroutines that were just woken by
-// a broadcast get to run (and re-register as active) first.
+// The clock keeps a count of running participants, a FIFO run queue of
+// readied tickets and a min-heap of sleepers keyed by (deadline, seq).
+// When the running count reaches zero it hands the turn to the head of
+// the run queue; when the queue is empty it jumps to the earliest deadline
+// and queues every sleeper due then, in heap order.
 type Virtual struct {
+	now atomic.Int64 // virtual time; written under mu
+
 	mu       sync.Mutex
-	now      time.Duration
-	active   int
-	gen      uint64
-	sleepers map[*vSleeper]struct{}
+	running  int
+	runq     []Ticket // FIFO of readied tickets, head at runq[head]
+	head     int
+	sleepers []vSleeper // min-heap on (deadline, seq)
+	seq      uint64
+	free     []Ticket // sleep tickets for reuse
 }
 
 type vSleeper struct {
 	deadline time.Duration
-	ch       chan struct{}
+	seq      uint64
+	tk       Ticket
 }
 
-// Blocker is implemented by clocks that need to know when a registered
-// goroutine parks outside of Sleep. Buffers test for it.
-type Blocker interface {
-	BlockEnter()
-	BlockExit()
+func (a vSleeper) before(b vSleeper) bool {
+	return a.deadline < b.deadline || a.deadline == b.deadline && a.seq < b.seq
 }
 
-// Registrar is implemented by clocks that track participant goroutines.
+// Ticket is a reusable wake-up token: one goroutine parks on it and
+// another readies it once per park. It is a channel of capacity one, so a
+// Ready that lands before the Park is not lost.
+type Ticket chan struct{}
+
+// NewTicket returns an unreadied ticket.
+func NewTicket() Ticket { return make(Ticket, 1) }
+
+// Registrar is implemented by clocks that schedule their participant
+// goroutines.
 type Registrar interface {
+	// Add adjusts the count of running participants by delta.
 	Add(delta int)
+	// Go starts f on a new participant goroutine that waits its turn.
+	Go(f func())
+	// Park gives up the caller's turn until tk is readied.
+	Park(tk Ticket)
+	// Ready queues the goroutine parked on tk for its next turn.
+	Ready(tk Ticket)
+}
+
+// Park blocks the caller until tk is readied, yielding its turn when c
+// schedules its participants.
+func Park(c Clock, tk Ticket) {
+	if r, ok := c.(Registrar); ok {
+		r.Park(tk)
+		return
+	}
+	<-tk
+}
+
+// Ready wakes the goroutine parked, or about to park, on tk.
+func Ready(c Clock, tk Ticket) {
+	if r, ok := c.(Registrar); ok {
+		r.Ready(tk)
+		return
+	}
+	tk <- struct{}{}
 }
 
 var (
 	_ Clock     = (*Virtual)(nil)
-	_ Blocker   = (*Virtual)(nil)
 	_ Registrar = (*Virtual)(nil)
 )
 
 // NewVirtual returns a virtual clock at time zero with no participants.
-func NewVirtual() *Virtual {
-	return &Virtual{sleepers: make(map[*vSleeper]struct{})}
-}
+func NewVirtual() *Virtual { return &Virtual{} }
 
 // Now implements Clock.
-func (v *Virtual) Now() time.Duration {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
-}
+func (v *Virtual) Now() time.Duration { return time.Duration(v.now.Load()) }
 
-// Add adjusts the registered-participant count. A participant is counted
-// active while runnable; Sleep and BlockEnter mark it inactive.
+// Add implements Registrar. A free-running participant registers with
+// Add(1) and leaves with Add(-1); while registered it counts as running
+// except inside Sleep and Park.
 func (v *Virtual) Add(delta int) {
 	v.mu.Lock()
-	v.active += delta
-	v.gen++
-	kick := v.active == 0
-	gen := v.gen
+	v.running += delta
+	v.handOffLocked()
 	v.mu.Unlock()
-	if kick {
-		go v.tryAdvance(gen)
-	}
 }
 
-// Active returns the current active participant count (for tests).
-func (v *Virtual) Active() int {
+// Go implements Registrar: f runs on a new goroutine once the turn
+// reaches it, and the goroutine leaves the clock when f returns.
+func (v *Virtual) Go(f func()) {
+	tk := NewTicket()
+	v.Ready(tk)
+	go func() {
+		<-tk
+		defer v.Add(-1)
+		f()
+	}()
+}
+
+// Park implements Registrar.
+func (v *Virtual) Park(tk Ticket) {
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.active
+	v.running--
+	v.handOffLocked()
+	v.mu.Unlock()
+	<-tk
 }
 
-// Sleep implements Clock: the calling participant becomes inactive until
-// virtual time reaches now+d.
+// Ready implements Registrar.
+func (v *Virtual) Ready(tk Ticket) {
+	v.mu.Lock()
+	v.runq = append(v.runq, tk)
+	v.handOffLocked()
+	v.mu.Unlock()
+}
+
+// Sleep implements Clock: the calling participant gives up its turn until
+// virtual time reaches now+d. Sleepers sharing a deadline run in the
+// order they went to sleep.
 func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	v.mu.Lock()
-	s := &vSleeper{deadline: v.now + d, ch: make(chan struct{})}
-	v.sleepers[s] = struct{}{}
-	v.active--
-	v.gen++
-	kick := v.active == 0
-	gen := v.gen
-	v.mu.Unlock()
-	if kick {
-		go v.tryAdvance(gen)
+	var tk Ticket
+	if n := len(v.free); n > 0 {
+		tk, v.free = v.free[n-1], v.free[:n-1]
+	} else {
+		tk = NewTicket()
 	}
-	<-s.ch
-}
-
-// BlockEnter implements Blocker: the participant is about to park on an
-// external wait (condition variable).
-func (v *Virtual) BlockEnter() {
-	v.mu.Lock()
-	v.active--
-	v.gen++
-	kick := v.active == 0
-	gen := v.gen
+	v.push(vSleeper{deadline: v.Now() + d, seq: v.seq, tk: tk})
+	v.seq++
+	v.running--
+	v.handOffLocked()
 	v.mu.Unlock()
-	if kick {
-		go v.tryAdvance(gen)
-	}
-}
-
-// BlockExit implements Blocker: the participant resumed from an external
-// wait.
-func (v *Virtual) BlockExit() {
+	<-tk
 	v.mu.Lock()
-	v.active++
-	v.gen++
+	v.free = append(v.free, tk)
 	v.mu.Unlock()
 }
 
-// tryAdvance verifies quiescence (no activity since gen across several
-// scheduler yields) and then jumps virtual time to the earliest sleeper
-// deadline, waking everything due. Woken sleepers become active before
-// their channels are closed, so the clock can never double-advance past
-// them.
-func (v *Virtual) tryAdvance(gen uint64) {
-	for i := 0; i < 16; i++ {
-		runtime.Gosched()
-		v.mu.Lock()
-		stale := v.gen != gen || v.active != 0
-		v.mu.Unlock()
-		if stale {
-			return
-		}
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.gen != gen || v.active != 0 || len(v.sleepers) == 0 {
+// handOffLocked passes the turn on once nobody is running: to the head of
+// the run queue, or, when that is empty, to the sleepers due at the
+// earliest deadline after time jumps there.
+func (v *Virtual) handOffLocked() {
+	if v.running != 0 {
 		return
 	}
-	// Jump to the earliest deadline.
-	var next time.Duration = -1
-	for s := range v.sleepers {
-		if next < 0 || s.deadline < next {
-			next = s.deadline
+	if v.head == len(v.runq) {
+		if len(v.sleepers) == 0 {
+			return
+		}
+		next := v.sleepers[0].deadline
+		v.now.Store(int64(next))
+		for len(v.sleepers) > 0 && v.sleepers[0].deadline == next {
+			v.runq = append(v.runq, v.pop().tk)
 		}
 	}
-	if next > v.now {
-		v.now = next
+	tk := v.runq[v.head]
+	v.runq[v.head] = nil
+	if v.head++; v.head == len(v.runq) {
+		v.runq, v.head = v.runq[:0], 0
 	}
-	var wake []*vSleeper
-	for s := range v.sleepers {
-		if s.deadline <= v.now {
-			wake = append(wake, s)
+	v.running = 1
+	tk <- struct{}{}
+}
+
+// push and pop maintain the sleeper heap.
+func (v *Virtual) push(s vSleeper) {
+	h := append(v.sleepers, s)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			break
 		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	for _, s := range wake {
-		delete(v.sleepers, s)
-		v.active++
+	v.sleepers = h
+}
+
+func (v *Virtual) pop() vSleeper {
+	h := v.sleepers
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = vSleeper{}
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	v.gen++
-	for _, s := range wake {
-		close(s.ch)
-	}
+	v.sleepers = h
+	return top
 }

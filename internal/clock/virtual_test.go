@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -65,42 +66,24 @@ func TestVirtualSleepersWakeInDeadlineOrder(t *testing.T) {
 	}
 }
 
-func TestVirtualBlockEnterAllowsAdvance(t *testing.T) {
+func TestVirtualParkAllowsAdvance(t *testing.T) {
 	v := NewVirtual()
-
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	ready := false
-
+	tk := NewTicket()
+	var woke time.Duration
 	var wg sync.WaitGroup
-	// Consumer parks on a condition variable, bracketed by
-	// BlockEnter/BlockExit.
-	wg.Add(1)
-	v.Add(1)
-	go func() {
+	wg.Add(2)
+	// Consumer parks on a ticket, giving up its turn.
+	v.Go(func() {
 		defer wg.Done()
-		defer v.Add(-1)
-		mu.Lock()
-		for !ready {
-			v.BlockEnter()
-			cond.Wait()
-			v.BlockExit()
-		}
-		mu.Unlock()
-	}()
-
-	// Producer sleeps 10ms of virtual time, then signals.
-	wg.Add(1)
-	v.Add(1)
-	go func() {
+		v.Park(tk)
+		woke = v.Now()
+	})
+	// Producer sleeps 10ms of virtual time, then readies the consumer.
+	v.Go(func() {
 		defer wg.Done()
-		defer v.Add(-1)
 		v.Sleep(10 * time.Millisecond) // must advance despite the parked consumer
-		mu.Lock()
-		ready = true
-		mu.Unlock()
-		cond.Broadcast()
-	}()
+		v.Ready(tk)
+	})
 
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -109,8 +92,8 @@ func TestVirtualBlockEnterAllowsAdvance(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("deadlock: clock did not advance past a parked participant")
 	}
-	if v.Now() != 10*time.Millisecond {
-		t.Fatalf("Now = %v", v.Now())
+	if woke != 10*time.Millisecond || v.Now() != 10*time.Millisecond {
+		t.Fatalf("woke at %v, Now = %v", woke, v.Now())
 	}
 }
 
@@ -146,21 +129,29 @@ func TestVirtualManyConcurrentSleepCycles(t *testing.T) {
 
 func TestVirtualActiveAccounting(t *testing.T) {
 	v := NewVirtual()
-	if v.Active() != 0 {
+	running := func() int {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		return v.running
+	}
+	if running() != 0 {
 		t.Fatal("fresh clock must be idle")
 	}
 	v.Add(2)
-	if v.Active() != 2 {
-		t.Fatalf("Active = %d", v.Active())
+	if running() != 2 {
+		t.Fatalf("running = %d", running())
 	}
-	v.BlockEnter()
-	if v.Active() != 1 {
-		t.Fatalf("Active after BlockEnter = %d", v.Active())
+	// A participant started with Go waits its turn: it is queued, not
+	// running, while the two registered participants hold the clock.
+	done := make(chan struct{})
+	v.Go(func() { close(done) })
+	if running() != 2 {
+		t.Fatalf("running after Go = %d", running())
 	}
-	v.BlockExit()
 	v.Add(-2)
-	if v.Active() != 0 {
-		t.Fatalf("Active = %d", v.Active())
+	<-done
+	if got := running(); got > 1 {
+		t.Fatalf("running = %d after the queued participant got the turn", got)
 	}
 }
 
@@ -190,4 +181,64 @@ func TestVirtualTimeIsMonotone(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestVirtualSameDeadlineRunsInRegistrationOrder: sleepers that share a
+// deadline run one at a time, in the order they went to sleep, whatever
+// the number of processors. The order slice is deliberately unguarded:
+// the race detector checks that the clock runs one participant at a time.
+func TestVirtualSameDeadlineRunsInRegistrationOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for round := 0; round < 20; round++ {
+		v := NewVirtual()
+		const n = 16
+		var order []int
+		var wg sync.WaitGroup
+		wg.Add(n)
+		v.Add(1) // hold the turn until every participant is queued
+		for i := 0; i < n; i++ {
+			v.Go(func() {
+				defer wg.Done()
+				v.Sleep(10 * time.Millisecond)
+				order = append(order, i)
+				v.Sleep(10 * time.Millisecond)
+				order = append(order, i)
+			})
+		}
+		v.Add(-1)
+		wg.Wait()
+		for k, id := range order {
+			if id != k%n {
+				t.Fatalf("round %d: run order %v, want 0..%d twice", round, order, n-1)
+			}
+		}
+	}
+}
+
+// TestVirtualReadiedWaiterRunsBeforeTimeAdvances: a waiter readied at
+// time t runs at t, even when its waker sleeps straight away.
+func TestVirtualReadiedWaiterRunsBeforeTimeAdvances(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for round := 0; round < 200; round++ {
+		v := NewVirtual()
+		tk := NewTicket()
+		var woke time.Duration
+		var wg sync.WaitGroup
+		wg.Add(2)
+		v.Go(func() {
+			defer wg.Done()
+			v.Park(tk)
+			woke = v.Now()
+		})
+		v.Go(func() {
+			defer wg.Done()
+			v.Sleep(time.Millisecond)
+			v.Ready(tk)
+			v.Sleep(time.Millisecond)
+		})
+		wg.Wait()
+		if woke != time.Millisecond {
+			t.Fatalf("round %d: readied waiter ran at %v, want 1ms", round, woke)
+		}
+	}
 }

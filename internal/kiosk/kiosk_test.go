@@ -64,19 +64,21 @@ func run(t *testing.T, cfg Config, d time.Duration) (*trace.Analysis, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Sleep on the virtual clock as a participant registered from before
+	// Start until after Stop.
+	reg, hasReg := app.Runtime.Clock().(clock.Registrar)
+	if hasReg {
+		reg.Add(1)
+	}
 	if err := app.Runtime.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Sleep on the virtual clock as a registered participant.
-	if reg, ok := app.Runtime.Clock().(clock.Registrar); ok {
-		reg.Add(1)
-		app.Runtime.Clock().Sleep(d)
-		reg.Add(-1)
-	} else {
-		app.Runtime.Clock().Sleep(d)
-	}
+	app.Runtime.Clock().Sleep(d)
 	qItems, _ := app.Runtime.Buffer(app.DecisionQueue).Occupancy()
 	app.Runtime.Stop()
+	if hasReg {
+		reg.Add(-1)
+	}
 	if err := app.Runtime.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@
 // consumers and producers; they merely have trivial garbage-collection
 // behaviour (an item is reclaimed the moment it is dequeued).
 //
-// Queue is a buffer.Buffer backend (registered as "queue"): the condvar
-// pair, clock-aware waits, attachment maps, capacity blocking, and
+// Queue is a buffer.Buffer backend (registered as "queue"): the
+// clock-aware wait queues, attachment maps, capacity blocking, and
 // puts/frees/liveBytes accounting live in the embedded buffer.Base; this
 // package adds only the FIFO discipline — a head-indexed slice whose
 // dequeues advance head instead of re-slicing, reusing the backing array

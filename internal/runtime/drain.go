@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/buffer"
-	"repro/internal/clock"
 	"repro/internal/graph"
 )
 
@@ -83,6 +82,10 @@ func (rt *Runtime) Draining() bool { return rt.draining.Load() }
 //  3. Settle: once every buffer is drained (or the deadline expires),
 //     Stop closes everything; remaining items are counted as explicitly
 //     shed by the buffer layer.
+//
+// On a scheduling clock (clock.Registrar) the caller must be a registered
+// participant for the whole call, so that no thread runs past the drain
+// instant before the sources quiesce; Drain does not register it again.
 //
 // Drain is idempotent — repeated calls return the first call's report.
 // Drain after Stop performs no flushing (the buffers are already
@@ -171,12 +174,7 @@ func (rt *Runtime) Drain(timeout time.Duration) DrainReport {
 		return true
 	}
 
-	// Phase 2 — seal wave. The polling goroutine participates in the
-	// clock so a discrete-event clock can account for its sleeps.
-	reg, hasReg := rt.clk.(clock.Registrar)
-	if hasReg {
-		reg.Add(1)
-	}
+	// Phase 2 — seal wave.
 	sealed := make(map[buffer.Buffer]bool, len(brefs))
 	clean := true
 	for {
@@ -206,9 +204,6 @@ func (rt *Runtime) Drain(timeout time.Duration) DrainReport {
 			break
 		}
 		rt.clk.Sleep(drainPollEvery)
-	}
-	if hasReg {
-		reg.Add(-1)
 	}
 
 	// Phase 3 — settle: close everything. Backlog the wave did not flush

@@ -501,8 +501,8 @@ func TestChaosStatusHammer(t *testing.T) {
 				default:
 				}
 				// Real-time throttle: the probes must interleave with the
-				// chaos schedule, not starve the discrete-event clock's
-				// quiescence detection by spinning.
+				// chaos schedule, not take the CPU the clock's
+				// participants run on by spinning.
 				time.Sleep(200 * time.Microsecond)
 				switch i {
 				case 0:

@@ -27,7 +27,6 @@ package runtime
 import (
 	"fmt"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -117,19 +116,10 @@ func (rt *Runtime) SpawnReplica(stage string, host int) (*Thread, error) {
 	// the replica from the moment it exists.
 	rt.ctrl.SetReplicaSTP(r.id, slot, core.Unknown)
 
-	reg, hasReg := rt.clk.(clock.Registrar)
-	rt.wg.Add(1)
-	if hasReg {
-		reg.Add(1)
-	}
-	go func() {
-		defer rt.wg.Done()
-		if hasReg {
-			defer reg.Add(-1)
-		}
+	rt.spawn(func() {
 		r.supervise()
 		rt.finishReplica(r)
-	}()
+	})
 	return r, nil
 }
 

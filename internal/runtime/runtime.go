@@ -594,49 +594,36 @@ func (rt *Runtime) Start() error {
 	rt.registerInstrumentsLocked()
 
 	rt.started = true
-	reg, hasReg := rt.clk.(clock.Registrar)
 	for _, th := range rt.threads {
 		th.prepare()
-		rt.wg.Add(1)
-		if hasReg {
-			reg.Add(1) // registered before spawn so the clock never sees a false quiescence
-		}
-		go func(th *Thread) {
-			defer rt.wg.Done()
-			if hasReg {
-				defer reg.Add(-1)
-			}
-			th.supervise()
-		}(th)
+		rt.spawn(th.supervise)
 	}
 	if every, enabled := rt.watchdogPlan(); enabled {
-		rt.wg.Add(1)
-		if hasReg {
-			reg.Add(1)
-		}
-		go rt.watchdog(every)
+		rt.spawn(func() { rt.watchdog(every) })
 	}
 	if every, enabled := rt.samplePlan(); enabled {
-		rt.wg.Add(1)
-		if hasReg {
-			reg.Add(1)
-		}
-		go rt.sampler(every)
+		rt.spawn(func() { rt.sampler(every) })
 	}
 	for _, cl := range rt.opts.ControlLoops {
-		rt.wg.Add(1)
-		if hasReg {
-			reg.Add(1)
-		}
-		go func(cl ControlLoop) {
-			defer rt.wg.Done()
-			if hasReg {
-				defer reg.Add(-1)
-			}
-			cl(rt, rt.stopCh)
-		}(cl)
+		rt.spawn(func() { cl(rt, rt.stopCh) })
 	}
 	return nil
+}
+
+// spawn starts f on a goroutine that Wait waits for. On a scheduling
+// clock (clock.Registrar) the goroutine is a participant and waits its
+// turn in the clock's run queue.
+func (rt *Runtime) spawn(f func()) {
+	rt.wg.Add(1)
+	g := func() {
+		defer rt.wg.Done()
+		f()
+	}
+	if reg, ok := rt.clk.(clock.Registrar); ok {
+		reg.Go(g)
+	} else {
+		go g()
+	}
 }
 
 // Stop closes every buffer, which unblocks all waiting threads; their
@@ -690,26 +677,31 @@ func (rt *Runtime) Wait() error {
 }
 
 // RunFor starts the runtime (if not yet started), lets it execute for d of
-// runtime-clock time, stops it, and waits for quiescence.
+// runtime-clock time, stops it, and waits for quiescence. On a scheduling
+// clock the caller is a participant from before Start until after Stop,
+// so no thread runs at or past d before the buffers close.
 func (rt *Runtime) RunFor(d time.Duration) error {
+	reg, hasReg := rt.clk.(clock.Registrar)
+	if hasReg {
+		reg.Add(1)
+	}
 	rt.mu.Lock()
 	started := rt.started
 	rt.mu.Unlock()
+	var err error
 	if !started {
-		if err := rt.Start(); err != nil {
-			return err
-		}
+		err = rt.Start()
 	}
-	// The calling goroutine participates in the clock for the duration of
-	// its sleep, so a discrete-event clock can account for it.
-	if reg, ok := rt.clk.(clock.Registrar); ok {
-		reg.Add(1)
+	if err == nil {
 		rt.clk.Sleep(d)
+		rt.Stop()
+	}
+	if hasReg {
 		reg.Add(-1)
-	} else {
-		rt.clk.Sleep(d)
 	}
-	rt.Stop()
+	if err != nil {
+		return err
+	}
 	return rt.Wait()
 }
 

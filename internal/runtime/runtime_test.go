@@ -192,7 +192,7 @@ func TestStopUnblocksAndShutsDownCleanly(t *testing.T) {
 			return err
 		}
 		ctx.Sync()
-		<-ctx.Done()
+		ctx.Park()
 		return nil
 	}).MustOutput(c1)
 	rt.MustAddThread("consumer", 0, func(ctx *Ctx) error {
@@ -238,7 +238,7 @@ func TestQueueFlow(t *testing.T) {
 			}
 			ctx.Sync()
 		}
-		<-ctx.Done()
+		ctx.Park()
 		return nil
 	})
 	var got []vt.Timestamp
@@ -307,8 +307,8 @@ func TestBuilderValidation(t *testing.T) {
 func TestStartTwiceFails(t *testing.T) {
 	rt := New(Options{Clock: fastClock()})
 	c := rt.MustAddChannel("C", 0)
-	p := rt.MustAddThread("p", 0, func(ctx *Ctx) error { <-ctx.Done(); return nil })
-	s := rt.MustAddThread("s", 0, func(ctx *Ctx) error { <-ctx.Done(); return nil })
+	p := rt.MustAddThread("p", 0, func(ctx *Ctx) error { ctx.Park(); return nil })
+	s := rt.MustAddThread("s", 0, func(ctx *Ctx) error { ctx.Park(); return nil })
 	p.MustOutput(c)
 	s.MustInput(c)
 	if err := rt.Start(); err != nil {

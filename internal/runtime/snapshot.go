@@ -168,11 +168,6 @@ func (rt *Runtime) samplePlan() (time.Duration, bool) {
 // interval is test-driven through the clock itself, so fake-clock tests
 // pin the exact sampling schedule.
 func (rt *Runtime) sampler(every time.Duration) {
-	defer rt.wg.Done()
-	reg, hasReg := rt.clk.(clock.Registrar)
-	if hasReg {
-		defer reg.Add(-1)
-	}
 	_, isReal := rt.clk.(*clock.Real)
 	for {
 		if isReal {

@@ -477,11 +477,6 @@ func (rt *Runtime) watchdogPlan() (time.Duration, bool) {
 // Health/WriteStatus and firing OnStall once per stall episode. It runs
 // until Stop.
 func (rt *Runtime) watchdog(every time.Duration) {
-	defer rt.wg.Done()
-	reg, hasReg := rt.clk.(clock.Registrar)
-	if hasReg {
-		defer reg.Add(-1)
-	}
 	_, isReal := rt.clk.(*clock.Real)
 	for {
 		if isReal {

@@ -78,6 +78,10 @@ type Thread struct {
 	isSource bool
 	stop     chan struct{}
 	stopOnce sync.Once
+	// parkMu guards parkTk, the ticket of a body sitting in Ctx.Park,
+	// which requestStop readies.
+	parkMu sync.Mutex
+	parkTk clock.Ticket
 
 	// quiesced flips during a graceful drain: the thread's Ctx rejects
 	// further puts with ErrDraining, so no new work enters the graph
@@ -227,9 +231,18 @@ func (t *Thread) prepare() {
 	}
 }
 
-// requestStop signals the body's Stopped()/Done() observers.
+// requestStop signals the body's Stopped()/Done() observers and wakes a
+// body parked in Ctx.Park.
 func (t *Thread) requestStop() {
-	t.stopOnce.Do(func() { close(t.stop) })
+	t.stopOnce.Do(func() {
+		t.parkMu.Lock()
+		close(t.stop)
+		if t.parkTk != nil {
+			clock.Ready(t.rt.clk, t.parkTk)
+			t.parkTk = nil
+		}
+		t.parkMu.Unlock()
+	})
 }
 
 // run executes the body on its goroutine.
@@ -286,22 +299,25 @@ func (c *Ctx) Name() string { return c.thread.name }
 func (c *Ctx) Host() int { return c.thread.host }
 
 // Done returns a channel closed when the runtime is stopping. Under the
-// discrete-event virtual clock, blocking directly on it freezes virtual
-// time (the clock still counts the goroutine active); a body that wants
-// to idle until shutdown should call Park instead.
+// discrete-event virtual clock a body must not block on it: the clock
+// runs one participant at a time, so a body waiting on Done keeps the
+// turn and stalls every thread, including the one that would call Stop.
+// A body that wants to idle until shutdown calls Park instead.
 func (c *Ctx) Done() <-chan struct{} { return c.thread.stop }
 
-// Park blocks until the runtime stops, telling a discrete-event clock
-// that the thread is idle so virtual time keeps advancing for everyone
-// else.
+// Park blocks until the runtime stops, giving up the body's turn on a
+// discrete-event clock so every other thread keeps running.
 func (c *Ctx) Park() {
-	if b, ok := c.rt.clk.(clock.Blocker); ok {
-		b.BlockEnter()
-		<-c.thread.stop
-		b.BlockExit()
+	t := c.thread
+	t.parkMu.Lock()
+	if t.stopRequested() {
+		t.parkMu.Unlock()
 		return
 	}
-	<-c.thread.stop
+	tk := clock.NewTicket()
+	t.parkTk = tk
+	t.parkMu.Unlock()
+	clock.Park(c.rt.clk, tk)
 }
 
 // Stopped reports whether the runtime is stopping.

@@ -594,18 +594,20 @@ func Run(spec *Spec, cfg RunConfig) (*CellMetrics, error) {
 		// deadlines lie beyond the drain instant). The drain deadline is
 		// the full cell duration — generous, so a correct flush is
 		// always Clean and a non-clean drain is a regression.
+		// The caller is a participant from before Start until the drain
+		// has stopped the runtime, as RunFor's is.
+		reg, hasReg := clk.(clock.Registrar)
+		if hasReg {
+			reg.Add(1)
+		}
 		if err := r.rt.Start(); err != nil {
 			return nil, err
 		}
-		drainAt := QuantizeUp(3 * r.total / 4)
-		if reg, ok := clk.(clock.Registrar); ok {
-			reg.Add(1)
-			clk.Sleep(drainAt)
-			reg.Add(-1)
-		} else {
-			clk.Sleep(drainAt)
-		}
+		clk.Sleep(QuantizeUp(3 * r.total / 4))
 		drainRep = r.rt.Drain(r.total)
+		if hasReg {
+			reg.Add(-1)
+		}
 		if err := r.rt.Wait(); err != nil {
 			return nil, err
 		}

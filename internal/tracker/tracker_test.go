@@ -1,6 +1,8 @@
 package tracker
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -264,5 +266,31 @@ func TestShapeFig10(t *testing.T) {
 	if !(noARU.LatencyMean > aruMin.LatencyMean && aruMin.LatencyMean > aruMax.LatencyMean) {
 		t.Errorf("latency ordering violated: %v / %v / %v",
 			noARU.LatencyMean, aruMin.LatencyMean, aruMax.LatencyMean)
+	}
+}
+
+// TestRunRepeatsOnAnyCoreCount: a virtual-clock run is a function of its
+// configuration and seed alone. ARU-min on one host, run four times at
+// eight processors, must repeat the single-processor run exactly.
+func TestRunRepeatsOnAnyCoreCount(t *testing.T) {
+	fingerprint := func() string {
+		app, err := New(Config{Hosts: 1, Seed: 42, Policy: core.PolicyMin()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := app.Run(60*time.Second, 15*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d/%d/%d/%d/%v/%v/%v/%v/%v", a.ItemsTotal, a.ItemsWasted, a.Outputs, a.Skips,
+			a.All.MeanBytes, a.WastedMemPct, a.LatencyP50, a.LatencyP95, a.Jitter)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := fingerprint()
+	runtime.GOMAXPROCS(8)
+	for i := 0; i < 4; i++ {
+		if got := fingerprint(); got != want {
+			t.Fatalf("run %d at GOMAXPROCS=8: %s, want the GOMAXPROCS=1 run's %s", i, got, want)
+		}
 	}
 }

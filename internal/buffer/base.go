@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,9 +42,9 @@ type Consumer struct {
 	Window vt.Timestamp
 	// SkippedScratch and WindowScratch back the GetResult.Skipped and
 	// GetResult.Window slices delivered to this connection. Reusing them
-	// across gets keeps windowed and skipping gets allocation-free (the
-	// gc.Dead scratch idiom); the returned slices are therefore only
-	// valid until the connection's next get.
+	// across gets keeps windowed and skipping gets allocation-free; the
+	// returned slices are therefore only valid until the connection's
+	// next get.
 	SkippedScratch []Item
 	WindowScratch  []Item
 }
@@ -53,8 +54,8 @@ type Consumer struct {
 // clock (clock.Park/Ready), producer/consumer attachment maps, capacity
 // blocking with blocked-time measurement, and liveBytes/puts/frees
 // accounting. Backends embed it and add their storage discipline (a
-// timestamp-indexed map plus live set for channels, a head-indexed slice
-// for queues).
+// sorted live run plus put history for channels, a head-indexed slice for
+// queues).
 //
 // Consumers waiting for fresh data park on consQ (woken by puts and
 // close), producers waiting for capacity on prodQ (woken by frees and
@@ -75,8 +76,11 @@ type Base struct {
 	prodQ []clock.Ticket // producers parked for capacity (or close)
 	free  []clock.Ticket // tickets for reuse: a parked wait allocates nothing
 
-	// Consumers and Producers are the attachment maps.
-	Consumers map[graph.ConnID]*Consumer
+	// Consumers are the attached consumer connections in attach order: a
+	// buffer has a handful, and the per-advance collection sweep walks
+	// them all, so a slice beats a map. Producers is the producer
+	// attachment set.
+	Consumers []*Consumer
 	Producers map[graph.ConnID]bool
 
 	closed    bool
@@ -120,7 +124,7 @@ type Base struct {
 }
 
 // Init prepares the Base: applies Config defaults (real clock, no-op
-// collector), allocates the attachment maps, and stores the backend's
+// collector), allocates the producer set, and stores the backend's
 // live-item counter used for capacity blocking.
 func (b *Base) Init(cfg Config, occupied func() int) {
 	if cfg.Clock == nil {
@@ -131,7 +135,6 @@ func (b *Base) Init(cfg Config, occupied func() int) {
 	if b.Coll == nil {
 		b.Coll = gc.NewNone()
 	}
-	b.Consumers = make(map[graph.ConnID]*Consumer)
 	b.Producers = make(map[graph.ConnID]bool)
 	b.occupied = occupied
 	if reg := cfg.Metrics; reg != nil {
@@ -186,9 +189,32 @@ func (b *Base) wakeLocked(q *[]clock.Ticket, n int) {
 	*q = w[:rest]
 }
 
+// WaitTimer measures one get's blocked time. The clock is read when the
+// get first parks and once more when it returns, so a get that never
+// parks never reads it. The zero value is ready to use.
+type WaitTimer struct {
+	start  time.Duration
+	parked bool
+}
+
 // WaitConsumer parks a consumer until a put, a failure or a close wakes
-// it; the caller re-checks its predicate.
-func (b *Base) WaitConsumer() { b.park(&b.consQ) }
+// it; the caller re-checks its predicate. w times the get across all of
+// its parks.
+func (b *Base) WaitConsumer(w *WaitTimer) {
+	if !w.parked {
+		w.start, w.parked = b.Cfg.Clock.Now(), true
+	}
+	b.park(&b.consQ)
+}
+
+// Waited returns how long the get timed by w has blocked: zero, with no
+// clock read, when it never parked.
+func (b *Base) Waited(w *WaitTimer) time.Duration {
+	if !w.parked {
+		return 0
+	}
+	return b.Cfg.Clock.Now() - w.start
+}
 
 // SignalConsumersLocked wakes up to n parked consumers — one per newly
 // enqueued item. FIFO backends use it on puts so a k-item batch wakes
@@ -300,13 +326,23 @@ func (b *Base) CheckProducerLocked(conn graph.ConnID) error {
 	return nil
 }
 
+// consumerIndex returns the position of conn in Consumers, or -1.
+func (b *Base) consumerIndex(conn graph.ConnID) int {
+	for i, cs := range b.Consumers {
+		if cs.Conn == conn {
+			return i
+		}
+	}
+	return -1
+}
+
 // ConsumerLocked returns the state of an attached consumer connection.
 func (b *Base) ConsumerLocked(conn graph.ConnID) (*Consumer, error) {
-	cs, ok := b.Consumers[conn]
-	if !ok {
+	i := b.consumerIndex(conn)
+	if i < 0 {
 		return nil, fmt.Errorf("%w: consumer %d on %q", ErrNotAttached, conn, b.Cfg.Name)
 	}
-	return cs, nil
+	return b.Consumers[i], nil
 }
 
 // AttachProducer registers an output connection of a producer thread.
@@ -320,11 +356,23 @@ func (b *Base) AttachProducer(conn graph.ConnID) error {
 // AttachConsumerLocked registers a consumer connection with the given
 // sliding-window width; duplicate attaches keep the original state.
 func (b *Base) AttachConsumerLocked(conn graph.ConnID, window int) {
-	if _, dup := b.Consumers[conn]; !dup {
-		b.Consumers[conn] = &Consumer{
-			Conn: conn, Guarantee: vt.None, LastSeen: vt.None, Window: vt.Timestamp(window),
-		}
+	if b.consumerIndex(conn) >= 0 {
+		return
 	}
+	b.Consumers = append(b.Consumers, &Consumer{
+		Conn: conn, Guarantee: vt.None, LastSeen: vt.None, Window: vt.Timestamp(window),
+	})
+}
+
+// DetachConsumerLocked removes a consumer connection, reporting whether
+// it was attached.
+func (b *Base) DetachConsumerLocked(conn graph.ConnID) bool {
+	i := b.consumerIndex(conn)
+	if i < 0 {
+		return false
+	}
+	b.Consumers = slices.Delete(b.Consumers, i, i+1)
+	return true
 }
 
 // AccountPutBatchLocked records a batch of inserted items with a single
@@ -367,7 +415,7 @@ func (b *Base) AccountFreeLocked(it *Item) {
 	b.frees++
 	b.mFrees.Inc()
 	if b.Cfg.OnFree != nil {
-		b.Cfg.OnFree(it, b.Cfg.Clock.Now())
+		b.Cfg.OnFree(it)
 	}
 	if b.Cfg.Capacity > 0 {
 		b.wakeLocked(&b.prodQ, 1)

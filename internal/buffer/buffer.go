@@ -236,8 +236,9 @@ type Config struct {
 	// means gc.NewNone().
 	Collector gc.Collector
 	// OnFree, if non-nil, observes every reclaimed item (the runtime
-	// records EvFree trace events here).
-	OnFree func(it *Item, at time.Duration)
+	// releases the item's footprint and records EvFree trace events here,
+	// reading its clock only when it traces).
+	OnFree func(it *Item)
 	// Capacity bounds the number of live items; Put blocks while full.
 	// Zero means unbounded (the Stampede default).
 	Capacity int

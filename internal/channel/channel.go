@@ -14,9 +14,9 @@
 // Channel is a buffer.Buffer backend (registered as "channel"): the
 // clock-aware wait queues, attachment maps, capacity blocking, and
 // puts/frees/liveBytes accounting all live in the embedded buffer.Base;
-// this package adds only the channel discipline — the timestamp-indexed
-// item map, the sorted live set, get-latest/sliding-window delivery, and
-// guarantee-driven garbage collection.
+// this package adds only the channel discipline — the sorted run of live
+// items, the history of timestamps ever put, get-latest/sliding-window
+// delivery, and guarantee-driven garbage collection.
 package channel
 
 import (
@@ -73,32 +73,27 @@ var caps = buffer.Caps{
 // Channel is a timestamped buffer. All methods are safe for concurrent
 // use.
 //
-// An item's lifecycle is tracked by the (items, live) pair: a timestamp in
-// items but absent from live is a tombstone — the collector freed it, and
-// Get reports ErrGone rather than "not yet produced".
+// An item's lifecycle is tracked by the (live, history) pair: a timestamp
+// in history but not live was freed by the collector, and GetAt reports
+// ErrGone rather than "not yet produced". Neither keeps anything per
+// freed item: live holds only live items, and history is a handful of
+// runs (one for a dense stream).
 type Channel struct {
 	buffer.Base
 
-	// items and live are guarded by Base.Mu.
-	items  map[vt.Timestamp]*Item
-	live   *vt.Set
-	maxPut vt.Timestamp
+	// live and history are guarded by Base.Mu.
+	live    store
+	history vt.History
 
-	// scratchG and scratchDead are per-channel scratch buffers reused by
-	// every collection sweep (guarantee vector and dead-timestamp list),
-	// keeping the per-advance GC hop allocation-free. Both are only
-	// touched under Base.Mu.
-	scratchG    []vt.Timestamp
-	scratchDead []vt.Timestamp
+	// scratchG is the guarantee vector reused by every collection sweep,
+	// keeping the per-advance GC hop allocation-free. Only touched under
+	// Base.Mu.
+	scratchG []vt.Timestamp
 }
 
 // New creates a channel.
 func New(cfg Config) *Channel {
-	c := &Channel{
-		items:  make(map[vt.Timestamp]*Item),
-		live:   vt.NewSet(),
-		maxPut: vt.None,
-	}
+	c := &Channel{}
 	c.Base.Init(cfg, c.live.Len)
 	return c
 }
@@ -136,10 +131,9 @@ func (c *Channel) AttachConsumerWindow(conn graph.ConnID, n int) {
 func (c *Channel) DetachConsumer(conn graph.ConnID) {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
-	if _, ok := c.Consumers[conn]; !ok {
+	if !c.DetachConsumerLocked(conn) {
 		return
 	}
-	delete(c.Consumers, conn)
 	c.Coll.Forget(c.Node(), conn)
 	// Any frees below wake capacity waiters via freeLocked; parked
 	// consumers are unaffected by a detach.
@@ -168,10 +162,9 @@ func (c *Channel) FailProducer(conn graph.ConnID) {
 func (c *Channel) FailConsumer(conn graph.ConnID) {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
-	if _, ok := c.Consumers[conn]; !ok {
+	if !c.DetachConsumerLocked(conn) {
 		return
 	}
-	delete(c.Consumers, conn)
 	c.Coll.Forget(c.Node(), conn)
 	c.MarkConsumerFailedLocked()
 	c.collectLocked()
@@ -230,15 +223,11 @@ func (c *Channel) PutBatch(conn graph.ConnID, items []*Item) (int, time.Duration
 			err = ErrClosed
 			break
 		}
-		if _, dup := c.items[it.TS]; dup {
+		if !c.history.Add(it.TS) {
 			err = fmt.Errorf("%w: %v on %q", ErrDuplicate, it.TS, c.Name())
 			break
 		}
-		c.items[it.TS] = it
-		c.live.Add(it.TS)
-		if it.TS > c.maxPut {
-			c.maxPut = it.TS
-		}
+		c.live.insert(it.TS, it)
 		applied++
 	}
 	flush()
@@ -277,12 +266,9 @@ func (c *Channel) getLatest(conn graph.ConnID, block bool) (res GetResult, ok bo
 	if err != nil {
 		return GetResult{}, false, err
 	}
-	var start time.Duration
-	if block {
-		start = c.Clock().Now()
-	}
+	var w buffer.WaitTimer
 	for {
-		switch newest := c.live.Max(); {
+		switch newest := c.live.max(); {
 		case newest > cs.LastSeen:
 			res, ok = c.deliverLocked(cs, newest), true
 		case c.ClosedLocked() || c.SealedLocked():
@@ -290,48 +276,46 @@ func (c *Channel) getLatest(conn graph.ConnID, block bool) (res GetResult, ok bo
 		case c.ProducersExhaustedLocked():
 			err = fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, c.Name())
 		case block:
-			c.WaitConsumer()
+			c.WaitConsumer(&w)
 			continue
 		}
-		if block {
-			res.Blocked = c.Clock().Now() - start
-		}
+		res.Blocked = c.Waited(&w)
 		return res, ok, err
 	}
 }
 
-// deliverLocked hands the item at newest to the consumer as a window
-// head: trailing live items within the window are re-delivered, older
-// unseen items are marked skipped, and the consumer's guarantee advances
-// to newest-(window-1). Both passes walk the sorted live set in place
-// (vt.Set.AscendRange): the skip-free, window-1 fast path touches no
-// intermediate storage at all. The Skipped/Window slices are backed by
-// the connection's scratch buffers — valid until its next get — so
-// windowed and skipping gets are allocation-free in steady state.
+// deliverLocked hands the item at newest — the newest live item — to the
+// consumer as a window head: trailing live items within the window are
+// re-delivered, older unseen items are marked skipped, and the consumer's
+// guarantee advances to newest-(window-1). Both passes slice the sorted
+// live run in place. The Skipped/Window slices are backed by the
+// connection's scratch buffers — valid until its next get — so windowed
+// and skipping gets are allocation-free in steady state.
 func (c *Channel) deliverLocked(cs *buffer.Consumer, newest vt.Timestamp) GetResult {
 	var res GetResult
 	windowStart := newest - cs.Window + 1
+	live := c.live.live()
+	head := len(live) - 1 // live[head].ts == newest
+	// Window members: [windowStart, newest), including previously seen
+	// items the window may re-read.
+	win := c.live.after(windowStart - 1)
 	// Skipped: unseen live items older than the window, i.e.
 	// (lastSeen, windowStart) — windowStart ≤ newest always holds.
 	cs.SkippedScratch = cs.SkippedScratch[:0]
-	c.live.AscendRange(cs.LastSeen+1, windowStart, func(ts vt.Timestamp) bool {
-		cs.SkippedScratch = append(cs.SkippedScratch, buffer.Snapshot(c.items[ts]))
-		return true
-	})
+	for _, e := range live[min(c.live.after(cs.LastSeen), win):win] {
+		cs.SkippedScratch = append(cs.SkippedScratch, buffer.Snapshot(e.it))
+	}
 	if len(cs.SkippedScratch) > 0 {
 		res.Skipped = cs.SkippedScratch
 	}
-	// Window members: [windowStart, newest), including previously seen
-	// items the window may re-read.
 	cs.WindowScratch = cs.WindowScratch[:0]
-	c.live.AscendRange(windowStart, newest, func(ts vt.Timestamp) bool {
-		cs.WindowScratch = append(cs.WindowScratch, buffer.Snapshot(c.items[ts]))
-		return true
-	})
+	for _, e := range live[win:head] {
+		cs.WindowScratch = append(cs.WindowScratch, buffer.Snapshot(e.it))
+	}
 	if len(cs.WindowScratch) > 0 {
 		res.Window = cs.WindowScratch
 	}
-	res.Item = buffer.Snapshot(c.items[newest])
+	res.Item = buffer.Snapshot(live[head].it)
 	cs.LastSeen = newest
 	c.NoteDeliveredLocked(1)
 	// The consumer will never request ≤ windowStart again: the next
@@ -362,23 +346,18 @@ func (c *Channel) GetBatch(conn graph.ConnID, dst []GetResult) (int, error) {
 	if cs.Window > 1 {
 		return 0, fmt.Errorf("%w: batch get on windowed consumer of %q", buffer.ErrUnsupported, c.Name())
 	}
-	start := c.Clock().Now()
+	var w buffer.WaitTimer
 	for {
-		if c.live.Max() > cs.LastSeen {
-			n := 0
-			c.live.AscendRange(cs.LastSeen+1, vt.Infinity, func(ts vt.Timestamp) bool {
-				if n == len(dst) {
-					return false
-				}
-				dst[n] = GetResult{Item: buffer.Snapshot(c.items[ts])}
-				n++
-				return true
-			})
-			newest := dst[n-1].Item.TS
+		if unseen := c.live.live()[c.live.after(cs.LastSeen):]; len(unseen) > 0 {
+			n := min(len(unseen), len(dst))
+			for i, e := range unseen[:n] {
+				dst[i] = GetResult{Item: buffer.Snapshot(e.it)}
+			}
+			newest := unseen[n-1].ts
 			cs.LastSeen = newest
 			c.NoteDeliveredLocked(n)
 			c.advanceLocked(cs, newest)
-			dst[0].Blocked = c.Clock().Now() - start
+			dst[0].Blocked = c.Waited(&w)
 			return n, nil
 		}
 		if c.ClosedLocked() || c.SealedLocked() {
@@ -387,7 +366,7 @@ func (c *Channel) GetBatch(conn graph.ConnID, dst []GetResult) (int, error) {
 		if c.ProducersExhaustedLocked() {
 			return 0, fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, c.Name())
 		}
-		c.WaitConsumer()
+		c.WaitConsumer(&w)
 	}
 }
 
@@ -405,16 +384,13 @@ func (c *Channel) GetAt(conn graph.ConnID, ts vt.Timestamp) (GetResult, error) {
 	if err != nil {
 		return GetResult{}, err
 	}
-	start := c.Clock().Now()
+	var w buffer.WaitTimer
 	for {
 		if ts <= cs.Guarantee {
-			return GetResult{Blocked: c.Clock().Now() - start}, fmt.Errorf("%w: %v ≤ guarantee on %q", ErrPassed, ts, c.Name())
+			return GetResult{Blocked: c.Waited(&w)}, fmt.Errorf("%w: %v ≤ guarantee on %q", ErrPassed, ts, c.Name())
 		}
-		if it, present := c.items[ts]; present {
-			if !c.live.Contains(ts) {
-				return GetResult{Blocked: c.Clock().Now() - start}, fmt.Errorf("%w: %v on %q", ErrGone, ts, c.Name())
-			}
-			res := GetResult{Item: buffer.Snapshot(it), Blocked: c.Clock().Now() - start}
+		if it := c.live.find(ts); it != nil {
+			res := GetResult{Item: buffer.Snapshot(it), Blocked: c.Waited(&w)}
 			if ts > cs.LastSeen {
 				cs.LastSeen = ts
 			}
@@ -422,18 +398,19 @@ func (c *Channel) GetAt(conn graph.ConnID, ts vt.Timestamp) (GetResult, error) {
 			c.advanceLocked(cs, ts-cs.Window+1)
 			return res, nil
 		}
-		// The item may never have existed but already be unreachable: a
-		// producer has moved past it.
-		if c.maxPut > ts {
-			return GetResult{Blocked: c.Clock().Now() - start}, fmt.Errorf("%w: %v on %q", ErrGone, ts, c.Name())
+		// Not live, but a producer has put at or past it: either the
+		// collector freed it, or it never existed and is already
+		// unreachable.
+		if ts <= c.history.Max() {
+			return GetResult{Blocked: c.Waited(&w)}, fmt.Errorf("%w: %v on %q", ErrGone, ts, c.Name())
 		}
 		if c.ClosedLocked() || c.SealedLocked() {
-			return GetResult{Blocked: c.Clock().Now() - start}, ErrClosed
+			return GetResult{Blocked: c.Waited(&w)}, ErrClosed
 		}
 		if c.ProducersExhaustedLocked() {
-			return GetResult{Blocked: c.Clock().Now() - start}, fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, c.Name())
+			return GetResult{Blocked: c.Waited(&w)}, fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, c.Name())
 		}
-		c.WaitConsumer()
+		c.WaitConsumer(&w)
 	}
 }
 
@@ -449,43 +426,44 @@ func (c *Channel) advanceLocked(cs *buffer.Consumer, ts vt.Timestamp) {
 	c.collectLocked()
 }
 
-// collectLocked asks the collector for dead timestamps and frees them.
-// The guarantee vector and the dead list live in per-channel scratch
-// buffers, so the sweep is allocation-free in steady state.
+// collectLocked asks the collector for its bound and frees every live
+// item at or below it — a prefix of the live run. The guarantee vector
+// lives in a per-channel scratch buffer, so the sweep is allocation-free
+// in steady state.
 func (c *Channel) collectLocked() {
-	if c.live.Empty() {
+	if c.live.Len() == 0 {
 		return
 	}
 	c.scratchG = c.scratchG[:0]
 	for _, cs := range c.Consumers {
 		c.scratchG = append(c.scratchG, cs.Guarantee)
 	}
-	c.scratchDead = c.Coll.Dead(c.Node(), c.live, c.scratchG, c.scratchDead[:0])
-	for _, ts := range c.scratchDead {
-		c.freeLocked(ts)
+	bound := c.Coll.Bound(c.Node(), c.scratchG)
+	if bound == vt.None {
+		return
+	}
+	for c.live.Len() > 0 && c.live.min() <= bound {
+		c.freeLocked(c.live.pop())
 	}
 }
 
-// tombstone is the shared sentinel retained in the items map for freed
-// timestamps. Liveness decisions always consult the live set first, so
-// the sentinel's fields are never read as data — retaining one shared
-// instance (instead of the freed item itself) lets freeLocked hand the
-// real item back to the pool.
-var tombstone = &Item{}
-
-// freeLocked reclaims one item, wakes one capacity waiter for the freed
-// slot, and recycles the item through the configured pool.
-func (c *Channel) freeLocked(ts vt.Timestamp) {
-	it, ok := c.items[ts]
-	if !ok || !c.live.Contains(ts) {
-		return
-	}
-	c.live.Remove(ts)
+// freeLocked reclaims one item already popped from the live run: it
+// accounts the free, wakes one capacity waiter for the freed slot, and
+// recycles the item through the configured pool.
+func (c *Channel) freeLocked(it *Item) {
 	c.AccountFreeLocked(it)
-	// Retain a tombstone so GetAt(ts) can distinguish ErrGone from "not
-	// yet produced"; the freed item itself goes back to the pool.
-	c.items[ts] = tombstone
 	c.RecycleLocked(it)
+}
+
+// shedLocked frees every live item, counting those newer than seen as
+// discarded undelivered, and returns how many it freed.
+func (c *Channel) shedLocked(seen vt.Timestamp) int {
+	n := c.live.Len()
+	c.AccountShedLocked(int64(n - c.live.after(seen)))
+	for c.live.Len() > 0 {
+		c.freeLocked(c.live.pop())
+	}
+	return n
 }
 
 // Close marks the channel closed, frees every remaining live item, and
@@ -506,22 +484,9 @@ func (c *Channel) Close() {
 			maxSeen = cs.LastSeen
 		}
 	}
-	// Collect the live timestamps first: freeLocked mutates the set.
-	c.scratchDead = c.scratchDead[:0]
-	var shed int64
-	c.live.Ascend(func(ts vt.Timestamp) bool {
-		c.scratchDead = append(c.scratchDead, ts)
-		if ts > maxSeen {
-			shed++
-		}
-		return true
-	})
-	c.AccountShedLocked(shed)
-	for _, ts := range c.scratchDead {
-		c.freeLocked(ts)
-	}
-	for conn := range c.Consumers {
-		c.Coll.Forget(c.Node(), conn)
+	c.shedLocked(maxSeen)
+	for _, cs := range c.Consumers {
+		c.Coll.Forget(c.Node(), cs.Conn)
 	}
 	c.BroadcastLocked()
 }
@@ -537,13 +502,13 @@ func (c *Channel) Drained() bool {
 	if !c.SealedLocked() {
 		return false
 	}
-	if c.live.Empty() {
+	if c.live.Len() == 0 {
 		return true
 	}
 	if len(c.Consumers) == 0 {
 		return false
 	}
-	newest := c.live.Max()
+	newest := c.live.max()
 	for _, cs := range c.Consumers {
 		if cs.LastSeen < newest {
 			return false
@@ -560,16 +525,7 @@ func (c *Channel) Drained() bool {
 func (c *Channel) Drain() int {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
-	c.scratchDead = c.scratchDead[:0]
-	c.live.Ascend(func(ts vt.Timestamp) bool {
-		c.scratchDead = append(c.scratchDead, ts)
-		return true
-	})
-	c.AccountShedLocked(int64(len(c.scratchDead)))
-	for _, ts := range c.scratchDead {
-		c.freeLocked(ts)
-	}
-	return len(c.scratchDead)
+	return c.shedLocked(vt.None)
 }
 
 // WouldBeDead reports whether an item put at ts right now would be
@@ -604,7 +560,7 @@ func (c *Channel) WouldBeDead(ts vt.Timestamp) bool {
 func (c *Channel) Guarantee(conn graph.ConnID) vt.Timestamp {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
-	if cs, ok := c.Consumers[conn]; ok {
+	if cs, err := c.ConsumerLocked(conn); err == nil {
 		return cs.Guarantee
 	}
 	return vt.None

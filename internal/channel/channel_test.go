@@ -197,7 +197,7 @@ func TestCloseWakesBlockedGetters(t *testing.T) {
 func TestCloseFreesLiveItems(t *testing.T) {
 	var freed []vt.Timestamp
 	var mu sync.Mutex
-	c := New(Config{Name: "t", Clock: clock.NewReal(), OnFree: func(it *Item, _ time.Duration) {
+	c := New(Config{Name: "t", Clock: clock.NewReal(), OnFree: func(it *Item) {
 		mu.Lock()
 		freed = append(freed, it.TS)
 		mu.Unlock()
@@ -222,7 +222,7 @@ func TestDGCCollectsOnConsumption(t *testing.T) {
 	var mu sync.Mutex
 	c := New(Config{
 		Name: "t", Clock: clock.NewReal(), Collector: gc.NewDeadTimestamp(),
-		OnFree: func(it *Item, _ time.Duration) {
+		OnFree: func(it *Item) {
 			mu.Lock()
 			freed = append(freed, it.TS)
 			mu.Unlock()

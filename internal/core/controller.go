@@ -679,24 +679,20 @@ func (c *Controller) EstimatorState(id graph.NodeID) (EstimatorState, bool) {
 // Meter measures a thread's current-STP across loop iterations: the
 // iteration wall time minus time blocked on inputs and minus deliberate
 // throttle sleep, i.e. "the minimum time required to produce an item given
-// present load conditions" (§3.3.1). One Meter belongs to one thread
-// goroutine; it is not safe for concurrent use.
+// present load conditions" (§3.3.1). The caller passes the clock reading
+// to every method, so one read can serve the end of one iteration and
+// the start of the next. One Meter belongs to one thread goroutine; it is
+// not safe for concurrent use. The zero value is ready to use.
 type Meter struct {
-	clk       clock.Clock
 	iterStart time.Duration
 	blocked   time.Duration
 	throttled time.Duration
 	started   bool
 }
 
-// NewMeter returns a meter reading the given clock.
-func NewMeter(clk clock.Clock) *Meter {
-	return &Meter{clk: clk}
-}
-
-// BeginIteration marks the start of a thread loop iteration.
-func (m *Meter) BeginIteration() {
-	m.iterStart = m.clk.Now()
+// BeginIteration marks the start of a thread loop iteration at now.
+func (m *Meter) BeginIteration(now time.Duration) {
+	m.iterStart = now
 	m.blocked = 0
 	m.throttled = 0
 	m.started = true
@@ -717,23 +713,23 @@ func (m *Meter) AddThrottled(d time.Duration) {
 	}
 }
 
-// Elapsed returns the full wall time of the current iteration so far
+// Elapsed returns the full wall time of the current iteration up to now
 // (compute + blocked + throttled), or 0 if no iteration is open.
-func (m *Meter) Elapsed() time.Duration {
+func (m *Meter) Elapsed(now time.Duration) time.Duration {
 	if !m.started {
 		return 0
 	}
-	return m.clk.Now() - m.iterStart
+	return now - m.iterStart
 }
 
-// EndIteration closes the iteration and returns its current-STP along
-// with the busy (compute) time and the time spent blocked on inputs.
-// Calling it before BeginIteration returns zeros.
-func (m *Meter) EndIteration() (current STP, busy, blocked time.Duration) {
+// EndIteration closes the iteration at now and returns its current-STP
+// along with the busy (compute) time and the time spent blocked on
+// inputs. Calling it before BeginIteration returns zeros.
+func (m *Meter) EndIteration(now time.Duration) (current STP, busy, blocked time.Duration) {
 	if !m.started {
 		return Unknown, 0, 0
 	}
-	elapsed := m.clk.Now() - m.iterStart
+	elapsed := now - m.iterStart
 	busy = elapsed - m.blocked - m.throttled
 	if busy < 0 {
 		busy = 0

@@ -222,8 +222,8 @@ func TestBackwardVecConcurrent(t *testing.T) {
 
 func TestMeterExcludesBlockingAndThrottle(t *testing.T) {
 	clk := clock.NewManual()
-	m := NewMeter(clk)
-	m.BeginIteration()
+	var m Meter
+	m.BeginIteration(clk.Now())
 	clk.Advance(50 * time.Millisecond) // compute
 	m.AddBlocked(0)                    // non-positive ignored
 	clk.Advance(30 * time.Millisecond) // blocked span
@@ -231,7 +231,10 @@ func TestMeterExcludesBlockingAndThrottle(t *testing.T) {
 	clk.Advance(20 * time.Millisecond) // throttle span
 	m.AddThrottled(20 * time.Millisecond)
 	clk.Advance(10 * time.Millisecond) // more compute
-	current, busy, blocked := m.EndIteration()
+	if got := m.Elapsed(clk.Now()); got != 110*time.Millisecond {
+		t.Fatalf("Elapsed = %v, want 110ms", got)
+	}
+	current, busy, blocked := m.EndIteration(clk.Now())
 	if current != stpMs(60) {
 		t.Fatalf("current-STP = %v, want 60ms", current)
 	}
@@ -244,19 +247,20 @@ func TestMeterExcludesBlockingAndThrottle(t *testing.T) {
 }
 
 func TestMeterWithoutBeginIsZero(t *testing.T) {
-	m := NewMeter(clock.NewManual())
-	if cur, busy, blocked := m.EndIteration(); cur != Unknown || busy != 0 || blocked != 0 {
+	var m Meter
+	if got := m.Elapsed(time.Second); got != 0 {
+		t.Fatalf("Elapsed without Begin = %v", got)
+	}
+	if cur, busy, blocked := m.EndIteration(time.Second); cur != Unknown || busy != 0 || blocked != 0 {
 		t.Fatalf("EndIteration without Begin = %v/%v/%v", cur, busy, blocked)
 	}
 }
 
 func TestMeterZeroBusyIsUnknown(t *testing.T) {
-	clk := clock.NewManual()
-	m := NewMeter(clk)
-	m.BeginIteration()
-	clk.Advance(10 * time.Millisecond)
+	var m Meter
+	m.BeginIteration(0)
 	m.AddBlocked(10 * time.Millisecond)
-	cur, _, blocked := m.EndIteration()
+	cur, _, blocked := m.EndIteration(10 * time.Millisecond)
 	if cur != Unknown {
 		t.Fatalf("fully blocked iteration current-STP = %v, want Unknown", cur)
 	}

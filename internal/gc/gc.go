@@ -30,7 +30,7 @@ import (
 	"repro/internal/vt"
 )
 
-// Collector decides which live items of a channel are dead. One collector
+// Collector decides how far a channel's live items are dead. One collector
 // instance is shared by every channel of a runtime; implementations must
 // be safe for concurrent use.
 type Collector interface {
@@ -43,13 +43,12 @@ type Collector interface {
 	// Forget removes a connection from consideration (consumer detach or
 	// channel close), so it no longer holds back collection.
 	Forget(ch graph.NodeID, conn graph.ConnID)
-	// Dead appends to buf the timestamps in live that can be freed from
-	// channel ch, whose attached consumers currently hold the given
-	// guarantees, and returns the extended slice. Callers pass a reused
-	// scratch slice (sliced to length 0) so the per-advance collection
-	// sweep is allocation-free in steady state; nil is a valid buf.
-	// Implementations must not retain buf or retain/mutate live.
-	Dead(ch graph.NodeID, live *vt.Set, guarantees []vt.Timestamp, buf []vt.Timestamp) []vt.Timestamp
+	// Bound returns the collection bound of channel ch, whose attached
+	// consumers currently hold the given guarantees: every live item with
+	// a timestamp ≤ the bound is dead. A channel's dead items are always
+	// a prefix of its live items in timestamp order, so one bound says
+	// everything; vt.None frees nothing.
+	Bound(ch graph.NodeID, guarantees []vt.Timestamp) vt.Timestamp
 }
 
 // none never frees anything.
@@ -61,9 +60,7 @@ func NewNone() Collector { return none{} }
 func (none) Name() string                                     { return "none" }
 func (none) Observe(graph.NodeID, graph.ConnID, vt.Timestamp) {}
 func (none) Forget(graph.NodeID, graph.ConnID)                {}
-func (none) Dead(_ graph.NodeID, _ *vt.Set, _ []vt.Timestamp, buf []vt.Timestamp) []vt.Timestamp {
-	return buf
-}
+func (none) Bound(graph.NodeID, []vt.Timestamp) vt.Timestamp  { return vt.None }
 
 // deadTimestamp is the DGC: local, per-channel dead-timestamp inference.
 type deadTimestamp struct{}
@@ -75,10 +72,12 @@ func (deadTimestamp) Name() string                                     { return 
 func (deadTimestamp) Observe(graph.NodeID, graph.ConnID, vt.Timestamp) {}
 func (deadTimestamp) Forget(graph.NodeID, graph.ConnID)                {}
 
-func (deadTimestamp) Dead(_ graph.NodeID, live *vt.Set, guarantees []vt.Timestamp, buf []vt.Timestamp) []vt.Timestamp {
+// Bound is the minimum guarantee: an item is dead once every consumer
+// has passed (or consumed) its timestamp.
+func (deadTimestamp) Bound(_ graph.NodeID, guarantees []vt.Timestamp) vt.Timestamp {
 	if len(guarantees) == 0 {
 		// No consumers attached yet: freeing now would race attachment.
-		return buf
+		return vt.None
 	}
 	min := vt.Infinity
 	for _, g := range guarantees {
@@ -86,20 +85,7 @@ func (deadTimestamp) Dead(_ graph.NodeID, live *vt.Set, guarantees []vt.Timestam
 			min = g
 		}
 	}
-	if min == vt.None {
-		return buf
-	}
-	// Dead: every consumer has passed (or consumed) the timestamp. The
-	// live set is sorted, so walk it in place and stop at the bound — no
-	// snapshot copy on this per-advance path.
-	live.Ascend(func(ts vt.Timestamp) bool {
-		if ts > min {
-			return false
-		}
-		buf = append(buf, ts)
-		return true
-	})
-	return buf
+	return min
 }
 
 // transparent is the TGC: an application-global virtual-time low-water
@@ -148,24 +134,17 @@ func (t *transparent) globalMin() vt.Timestamp {
 	return min
 }
 
-func (t *transparent) Dead(_ graph.NodeID, live *vt.Set, guarantees []vt.Timestamp, buf []vt.Timestamp) []vt.Timestamp {
+// Bound frees strictly below the global low-water mark: no thread
+// anywhere in the application can name such a timestamp again.
+func (t *transparent) Bound(_ graph.NodeID, guarantees []vt.Timestamp) vt.Timestamp {
 	if len(guarantees) == 0 {
-		return buf
+		return vt.None
 	}
 	gvt := t.globalMin()
 	if gvt == vt.None {
-		return buf
+		return vt.None
 	}
-	// Strictly below the global low-water mark: no thread anywhere in
-	// the application can name this timestamp again.
-	live.Ascend(func(ts vt.Timestamp) bool {
-		if ts >= gvt {
-			return false
-		}
-		buf = append(buf, ts)
-		return true
-	})
-	return buf
+	return gvt - 1
 }
 
 // ByName constructs a collector from its report name; unknown names fall

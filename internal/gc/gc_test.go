@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -14,10 +13,9 @@ func TestNoneNeverFrees(t *testing.T) {
 	if c.Name() != "none" {
 		t.Error("name")
 	}
-	live := vt.NewSet(1, 2, 3)
 	c.Observe(0, 0, 100)
-	if got := c.Dead(0, live, []vt.Timestamp{100, 100}, nil); got != nil {
-		t.Fatalf("none collector freed %v", got)
+	if got := c.Bound(0, []vt.Timestamp{100, 100}); got != vt.None {
+		t.Fatalf("none collector bound %v, want None", got)
 	}
 	c.Forget(0, 0) // must not panic
 }
@@ -27,60 +25,54 @@ func TestDGCFreesBelowMinGuarantee(t *testing.T) {
 	if c.Name() != "dgc" {
 		t.Error("name")
 	}
-	live := vt.NewSet(1, 2, 3, 4, 5)
-	// Consumers at 3 and 4: min is 3 → items 1,2,3 dead.
-	got := c.Dead(0, live, []vt.Timestamp{3, 4}, nil)
-	want := []vt.Timestamp{1, 2, 3}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Dead = %v, want %v", got, want)
+	// Consumers at 3 and 4: min is 3 → items ≤ 3 dead.
+	if got := c.Bound(0, []vt.Timestamp{3, 4}); got != 3 {
+		t.Fatalf("Bound = %v, want 3", got)
+	}
+	if got := c.Bound(0, []vt.Timestamp{9, 2, 5}); got != 2 {
+		t.Fatalf("Bound = %v, want the minimum 2", got)
 	}
 }
 
 func TestDGCNoConsumersOrUnstarted(t *testing.T) {
 	c := NewDeadTimestamp()
-	live := vt.NewSet(1, 2)
-	if got := c.Dead(0, live, nil, nil); got != nil {
-		t.Fatalf("no consumers: Dead = %v", got)
+	if got := c.Bound(0, nil); got != vt.None {
+		t.Fatalf("no consumers: Bound = %v, want None", got)
 	}
-	if got := c.Dead(0, live, []vt.Timestamp{vt.None, 5}, nil); got != nil {
+	if got := c.Bound(0, []vt.Timestamp{vt.None, 5}); got != vt.None {
 		t.Fatalf("unstarted consumer must block collection, got %v", got)
 	}
 }
 
 func TestDGCDetachedConsumerInfinity(t *testing.T) {
 	c := NewDeadTimestamp()
-	live := vt.NewSet(7, 9)
-	got := c.Dead(0, live, []vt.Timestamp{vt.Infinity}, nil)
-	if !reflect.DeepEqual(got, []vt.Timestamp{7, 9}) {
-		t.Fatalf("detached-only consumers must free everything, got %v", got)
+	if got := c.Bound(0, []vt.Timestamp{vt.Infinity}); got != vt.Infinity {
+		t.Fatalf("detached-only consumers must free everything, got bound %v", got)
 	}
 }
 
 // Property (DGC safety): an item a consumer could still request — its
-// timestamp above that consumer's guarantee — is never declared dead.
+// timestamp above that consumer's guarantee — is never at or below the
+// bound, and the bound is tight: the minimum guarantee itself is dead.
 func TestDGCQuickSafety(t *testing.T) {
 	c := NewDeadTimestamp()
-	f := func(liveRaw []int8, guarRaw []int8) bool {
-		live := vt.NewSet()
-		for _, v := range liveRaw {
-			live.Add(vt.Timestamp(v))
-		}
+	f := func(guarRaw []int8) bool {
 		guarantees := make([]vt.Timestamp, len(guarRaw))
 		for i, v := range guarRaw {
 			guarantees[i] = vt.Timestamp(v)
 		}
-		dead := c.Dead(0, live, guarantees, nil)
-		for _, d := range dead {
-			for _, g := range guarantees {
-				if d > g { // some consumer may still request d
-					return false
-				}
-			}
-			if !live.Contains(d) {
-				return false // must only name live items
-			}
+		bound := c.Bound(0, guarantees)
+		if len(guarantees) == 0 {
+			return bound == vt.None
 		}
-		return true
+		tight := false
+		for _, g := range guarantees {
+			if bound > g { // some consumer may still request bound
+				return false
+			}
+			tight = tight || bound == g
+		}
+		return tight
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -97,17 +89,16 @@ func TestTGCUsesGlobalMinimum(t *testing.T) {
 	c.Observe(chA, graph.ConnID(0), 10)
 	c.Observe(chB, graph.ConnID(1), 2)
 
-	live := vt.NewSet(1, 2, 3, 9)
-	// Even on channel A, only items < 2 (the global min) die.
-	got := c.Dead(chA, live, []vt.Timestamp{10}, nil)
-	if !reflect.DeepEqual(got, []vt.Timestamp{1}) {
-		t.Fatalf("TGC Dead = %v, want [1]", got)
+	// Even on channel A, only items < 2 (the global min) die: strictly
+	// below, so the bound is 1.
+	if got := c.Bound(chA, []vt.Timestamp{10}); got != 1 {
+		t.Fatalf("TGC Bound = %v, want 1", got)
 	}
 
-	// DGC on the same channel would free 1,2,3,9.
+	// DGC on the same channel would free everything ≤ 10.
 	dgc := NewDeadTimestamp()
-	if got := dgc.Dead(chA, live, []vt.Timestamp{10}, nil); len(got) != 4 {
-		t.Fatalf("DGC comparison = %v", got)
+	if got := dgc.Bound(chA, []vt.Timestamp{10}); got != 10 {
+		t.Fatalf("DGC comparison = %v, want 10", got)
 	}
 }
 
@@ -124,24 +115,23 @@ func TestTGCForgetReleases(t *testing.T) {
 	c := NewTransparent()
 	c.Observe(0, graph.ConnID(0), 100)
 	c.Observe(0, graph.ConnID(1), 1)
-	live := vt.NewSet(50)
-	if got := c.Dead(0, live, []vt.Timestamp{100}, nil); got != nil {
-		t.Fatalf("lagging consumer must retain, got %v", got)
+	// The lagging consumer at 1 retains an item at 50.
+	if got := c.Bound(0, []vt.Timestamp{100}); got != 0 {
+		t.Fatalf("lagging consumer must retain, got bound %v, want 0", got)
 	}
 	c.Forget(0, graph.ConnID(1))
-	if got := c.Dead(0, live, []vt.Timestamp{100}, nil); !reflect.DeepEqual(got, []vt.Timestamp{50}) {
-		t.Fatalf("after Forget, Dead = %v, want [50]", got)
+	if got := c.Bound(0, []vt.Timestamp{100}); got != 99 {
+		t.Fatalf("after Forget, Bound = %v, want 99", got)
 	}
 }
 
 func TestTGCEmptyStates(t *testing.T) {
 	c := NewTransparent()
-	live := vt.NewSet(1)
-	if got := c.Dead(0, live, nil, nil); got != nil {
+	if got := c.Bound(0, nil); got != vt.None {
 		t.Fatalf("no local consumers: %v", got)
 	}
 	// Local consumers exist but nothing observed globally yet.
-	if got := c.Dead(0, live, []vt.Timestamp{5}, nil); got != nil {
+	if got := c.Bound(0, []vt.Timestamp{5}); got != vt.None {
 		t.Fatalf("no global observations yet: %v", got)
 	}
 }
@@ -150,35 +140,18 @@ func TestTGCEmptyStates(t *testing.T) {
 // DGC would also free given the same local guarantees (with the global
 // view seeded from the same channel).
 func TestTGCQuickMoreConservativeThanDGC(t *testing.T) {
-	f := func(liveRaw []int8, guarRaw []int8) bool {
+	f := func(guarRaw []int8) bool {
 		if len(guarRaw) == 0 {
 			return true
 		}
 		tgc := NewTransparent()
 		dgc := NewDeadTimestamp()
-		live := vt.NewSet()
-		for _, v := range liveRaw {
-			live.Add(vt.Timestamp(v))
-		}
 		guarantees := make([]vt.Timestamp, len(guarRaw))
 		for i, v := range guarRaw {
 			guarantees[i] = vt.Timestamp(v)
 			tgc.Observe(0, graph.ConnID(i), guarantees[i])
 		}
-		tgcDead := map[vt.Timestamp]bool{}
-		for _, ts := range tgc.Dead(0, live, guarantees, nil) {
-			tgcDead[ts] = true
-		}
-		dgcDead := map[vt.Timestamp]bool{}
-		for _, ts := range dgc.Dead(0, live, guarantees, nil) {
-			dgcDead[ts] = true
-		}
-		for ts := range tgcDead {
-			if !dgcDead[ts] {
-				return false
-			}
-		}
-		return true
+		return tgc.Bound(0, guarantees) <= dgc.Bound(0, guarantees)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -96,7 +96,7 @@ func (q *Queue) AttachConsumer(conn graph.ConnID, window int) error {
 func (q *Queue) DetachConsumer(conn graph.ConnID) {
 	q.Mu.Lock()
 	defer q.Mu.Unlock()
-	delete(q.Consumers, conn)
+	q.DetachConsumerLocked(conn)
 }
 
 // FailProducer removes a producer attachment that failed permanently.
@@ -116,10 +116,9 @@ func (q *Queue) FailProducer(conn graph.ConnID) {
 func (q *Queue) FailConsumer(conn graph.ConnID) {
 	q.Mu.Lock()
 	defer q.Mu.Unlock()
-	if _, ok := q.Consumers[conn]; !ok {
+	if !q.DetachConsumerLocked(conn) {
 		return
 	}
-	delete(q.Consumers, conn)
 	q.MarkConsumerFailedLocked()
 	if q.ConsumersExhaustedLocked() {
 		q.BroadcastFullLocked()
@@ -214,10 +213,7 @@ func (q *Queue) get(conn graph.ConnID, dst []GetResult, block bool) (int, error)
 	if _, err := q.ConsumerLocked(conn); err != nil {
 		return 0, err
 	}
-	var start time.Duration
-	if block {
-		start = q.Clock().Now()
-	}
+	var w buffer.WaitTimer
 	for {
 		n := min(q.queued(), len(dst))
 		var err error
@@ -234,11 +230,11 @@ func (q *Queue) get(conn graph.ConnID, dst []GetResult, block bool) (int, error)
 		case q.ProducersExhaustedLocked():
 			err = fmt.Errorf("%w: all producers of %q failed", buffer.ErrPeerFailed, q.Name())
 		case block:
-			q.WaitConsumer()
+			q.WaitConsumer(&w)
 			continue
 		}
 		if block {
-			dst[0].Blocked = q.Clock().Now() - start
+			dst[0].Blocked = q.Waited(&w)
 		}
 		return n, err
 	}

@@ -161,7 +161,7 @@ func TestUnattachedConnections(t *testing.T) {
 func TestOnFreeAndDrain(t *testing.T) {
 	var mu sync.Mutex
 	var freed []vt.Timestamp
-	q := New(Config{Name: "q", Clock: clock.NewReal(), OnFree: func(it *Item, _ time.Duration) {
+	q := New(Config{Name: "q", Clock: clock.NewReal(), OnFree: func(it *Item) {
 		mu.Lock()
 		freed = append(freed, it.TS)
 		mu.Unlock()

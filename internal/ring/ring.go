@@ -520,12 +520,12 @@ func (r *Ring) PutBatch(conn graph.ConnID, items []*buffer.Item) (int, time.Dura
 }
 
 // popN pops up to len(dst) published items, amortizing the head claim,
-// the accounting, the OnFree clock read, and the producer wakeup over
-// the batch. The head cursor is claimed with CAS rather than a plain
-// store: the pop path is nominally single-consumer, but shutdown's Drain
-// runs it concurrently with a consumer thread that has not yet observed
-// the stop signal, and the CAS makes that overlap safe (an uncontended
-// CAS costs the same cache-line ownership the store would).
+// the accounting and the producer wakeup over the batch. The head cursor
+// is claimed with CAS rather than a plain store: the pop path is
+// nominally single-consumer, but shutdown's Drain runs it concurrently
+// with a consumer thread that has not yet observed the stop signal, and
+// the CAS makes that overlap safe (an uncontended CAS costs the same
+// cache-line ownership the store would).
 func (r *Ring) popN(dst []buffer.GetResult) int {
 	for {
 		pos := r.head.Load()
@@ -546,17 +546,13 @@ func (r *Ring) popN(dst []buffer.GetResult) int {
 		// item in place, before its slot is wiped and released: passing
 		// &dst[i].Item instead would make dst escape, costing the
 		// single-item callers' one-element array an allocation per pop.
-		var at time.Duration
-		if r.cfg.OnFree != nil {
-			at = r.cfg.Clock.Now()
-		}
 		var bytes int64
 		for i := 0; i < n; i++ {
 			s := &r.slots[(pos+uint64(i))&r.mask]
 			dst[i] = buffer.GetResult{Item: s.it}
 			bytes += s.it.Size
 			if r.cfg.OnFree != nil {
-				r.cfg.OnFree(&s.it, at)
+				r.cfg.OnFree(&s.it)
 			}
 			s.it = buffer.Item{}
 			s.seq.Store(pos + uint64(i) + uint64(len(r.slots)))

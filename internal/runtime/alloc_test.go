@@ -250,10 +250,10 @@ func (c *countingClock) Now() time.Duration {
 }
 
 // TestCtxPutGetClockReads pins the untraced hot path's clock reads: with
-// no Recorder attached the clock feeds nothing in the runtime layer, so
-// a Ctx.Put+Ctx.Get round must read it exactly as often as the same
-// round made directly against the port's buffer (which reads it for
-// blocked-time measurement and the OnFree observer).
+// no Recorder attached the clock feeds nothing in the runtime layer, and
+// a get that finds its item waiting measures no blocked time, so neither
+// a Ctx.Put+Ctx.Get round nor the same round made directly against the
+// port's buffer reads the clock at all.
 func TestCtxPutGetClockReads(t *testing.T) {
 	const rounds = 200
 	for _, backend := range []string{"queue", "channel"} {
@@ -328,9 +328,9 @@ func TestCtxPutGetClockReads(t *testing.T) {
 			if err := rt.Wait(); err != nil {
 				t.Fatal(err)
 			}
-			if reads[0] != reads[1] {
-				t.Fatalf("%d Ctx.Put+Ctx.Get rounds read the clock %d times, the same rounds on the bare buffer %d: the runtime adds %.2f reads per round",
-					rounds, reads[0], reads[1], float64(reads[0]-reads[1])/rounds)
+			if reads[0] != 0 || reads[1] != 0 {
+				t.Fatalf("%d non-waiting put+get rounds read the clock %d times through the Ctx and %d times on the bare buffer, want 0 and 0",
+					rounds, reads[0], reads[1])
 			}
 		})
 	}

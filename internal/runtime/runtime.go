@@ -517,9 +517,12 @@ func (rt *Runtime) materializeLocked(n *graph.Node, windows map[graph.ConnID]int
 		Metrics:    rt.opts.Metrics,
 		Pool:       rt.pool,
 		Feedback:   &runtimeFeedback{rt: rt, node: node},
-		OnFree: func(it *buffer.Item, at time.Duration) {
+		OnFree: func(it *buffer.Item) {
 			rt.addLive(host, -it.Size)
-			rt.opts.Recorder.Append(trace.Event{Kind: trace.EvFree, At: at, Item: it.ID, Node: node})
+			if rec := rt.opts.Recorder; rec != nil {
+				// The clock feeds only the trace event.
+				rec.Append(trace.Event{Kind: trace.EvFree, At: rt.clk.Now(), Item: it.ID, Node: node})
+			}
 		},
 	})
 	if err != nil {

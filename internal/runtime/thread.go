@@ -247,8 +247,8 @@ func (t *Thread) requestStop() {
 
 // run executes the body on its goroutine.
 func (t *Thread) run() error {
-	ctx := &Ctx{thread: t, rt: t.rt, meter: core.NewMeter(t.rt.clk), throttle: core.NewThrottle(t.rt.clk)}
-	ctx.meter.BeginIteration()
+	ctx := &Ctx{thread: t, rt: t.rt, throttle: core.NewThrottle(t.rt.clk)}
+	ctx.meter.BeginIteration(t.rt.clk.Now())
 	return t.body(ctx)
 }
 
@@ -270,7 +270,7 @@ type Msg struct {
 type Ctx struct {
 	thread   *Thread
 	rt       *Runtime
-	meter    *core.Meter
+	meter    core.Meter
 	throttle *core.Throttle
 
 	// consumed and produced are this iteration's item ids, the trace's
@@ -358,7 +358,7 @@ func (c *Ctx) Idle(d time.Duration) {
 }
 
 // Elapsed returns the wall time of the current iteration so far.
-func (c *Ctx) Elapsed() time.Duration { return c.meter.Elapsed() }
+func (c *Ctx) Elapsed() time.Duration { return c.meter.Elapsed(c.rt.clk.Now()) }
 
 // ChargeBus charges the host's shared memory system for touching size
 // bytes (queueing behind concurrent charges from co-located threads,
@@ -745,11 +745,12 @@ func (c *Ctx) ShouldProduce(p *OutPort, ts vt.Timestamp) bool {
 // iteration reached the end of the pipeline (the tracker's GUI displaying
 // a frame). Sink threads call it once per successful iteration.
 func (c *Ctx) Emit() {
-	rec := c.rt.opts.Recorder
-	rec.Append(trace.Event{
-		Kind: trace.EvEmit, At: c.rt.clk.Now(), Thread: c.thread.id,
-		Items: snapshotItems(rec, c.consumed),
-	})
+	if rec := c.rt.opts.Recorder; rec != nil {
+		rec.Append(trace.Event{
+			Kind: trace.EvEmit, At: c.rt.clk.Now(), Thread: c.thread.id,
+			Items: snapshotItems(rec, c.consumed),
+		})
+	}
 	c.emitted++
 }
 
@@ -759,12 +760,14 @@ func (c *Ctx) Emit() {
 // iteration trace event, and — for source threads — paces the loop to the
 // thread's summary-STP, which is precisely how ARU throttles production.
 func (c *Ctx) Sync() {
-	fullElapsed := c.meter.Elapsed()
-	current, busy, blocked := c.meter.EndIteration()
+	// One clock read ends this iteration, beats the heart, stamps the
+	// trace event and — unless pacing sleeps — begins the next iteration.
+	now := c.rt.clk.Now()
+	fullElapsed := c.meter.Elapsed(now)
+	current, busy, blocked := c.meter.EndIteration(now)
 
-	// Heartbeat for the stall watchdog: one atomic store per iteration,
-	// timing-neutral (the clock was already read above).
-	c.thread.lastBeat.Store(int64(c.rt.clk.Now()))
+	// Heartbeat for the stall watchdog: one atomic store per iteration.
+	c.thread.lastBeat.Store(int64(now))
 
 	// Re-fold wire-backed output summaries every iteration. A remote
 	// buffer's summary-STP decays with age (graceful degradation), but
@@ -785,12 +788,13 @@ func (c *Ctx) Sync() {
 	} else {
 		c.rt.ctrl.SetCurrentSTP(c.thread.id, current)
 	}
-	rec := c.rt.opts.Recorder
-	rec.Append(trace.Event{
-		Kind: trace.EvIter, At: c.rt.clk.Now(), Thread: c.thread.id,
-		Compute: busy, Blocked: blocked,
-		Items: snapshotItems(rec, c.produced),
-	})
+	if rec := c.rt.opts.Recorder; rec != nil {
+		rec.Append(trace.Event{
+			Kind: trace.EvIter, At: now, Thread: c.thread.id,
+			Compute: busy, Blocked: blocked,
+			Items: snapshotItems(rec, c.produced),
+		})
+	}
 	c.consumed = c.consumed[:0]
 	c.produced = c.produced[:0]
 	c.iters++
@@ -804,10 +808,12 @@ func (c *Ctx) Sync() {
 		// (Policy.WithEstimator) — the single actuation point of the
 		// control loop either way.
 		target := c.rt.ctrl.TargetPeriod(c.thread.id)
-		slept := c.throttle.Pace(target, fullElapsed)
-		if slept > 0 && c.thread.tm.throttleSleep != nil {
-			c.thread.tm.throttleSleep.AddDuration(slept)
+		if slept := c.throttle.Pace(target, fullElapsed); slept > 0 {
+			now = c.rt.clk.Now()
+			if c.thread.tm.throttleSleep != nil {
+				c.thread.tm.throttleSleep.AddDuration(slept)
+			}
 		}
 	}
-	c.meter.BeginIteration()
+	c.meter.BeginIteration(now)
 }

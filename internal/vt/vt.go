@@ -1,5 +1,6 @@
 // Package vt implements virtual time for the Stampede-style streaming
-// runtime: timestamps, half-open intervals, and ordered timestamp sets.
+// runtime: timestamps, half-open intervals, and run-length histories of
+// the timestamps a channel was ever given.
 //
 // Every data item produced by an application thread is tagged with a
 // Timestamp. Timestamps index the virtual (or wall-clock) time of the

@@ -3,8 +3,9 @@
 // run once with raw summary propagation (the paper's behaviour) and once
 // with the AIMD estimator, across steady, jittery, and stepped consumer
 // load shapes. Everything runs on the discrete-event virtual clock with
-// a seeded jitter source, so a cell is deterministic up to goroutine
-// interleaving and costs milliseconds of wall time per virtual minute.
+// a seeded jitter source, so a cell is exactly reproducible on any
+// number of processors and costs milliseconds of wall time per virtual
+// minute.
 //
 // Per cell it reports the steady-state pacing interval (mean and
 // standard deviation — the source-rate jitter), the drop ratio (items a
@@ -17,18 +18,18 @@
 //	go run ./cmd/aru -json BENCH_aru.json
 //	go run ./cmd/aru -check BENCH_aru.json
 //
-// -check re-measures and fails (exit 1) if any cell regresses beyond
-// -tolerance against the pinned report, or if the headline claim breaks:
-// under the jittery consumer the AIMD estimator must hold at least 2x
-// lower source-rate jitter than raw at a no-worse drop ratio. Below-bar
-// cells are re-measured best-of-3 before failing, mirroring the
-// throughput smoke: scheduler noise is one-sided.
+// Every run asserts the headline claim: under the jittery consumer the
+// AIMD estimator holds at least 2x lower source-rate jitter than raw at
+// a drop ratio no worse. -check also fails (exit 1) if the seed or the
+// virtual seconds differ from the pinned report, or if any cell differs
+// from its pin in any field.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -36,6 +37,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/pin"
 	"repro/internal/rand"
 	rt "repro/internal/runtime"
 	"repro/internal/vt"
@@ -53,6 +55,8 @@ type Result struct {
 	ConvergenceS   float64 `json:"convergence_s"`
 }
 
+func (r Result) key() string { return r.Scenario + "/" + r.Estimator }
+
 // Report is the pinned file format.
 type Report struct {
 	GoVersion string   `json:"go_version"`
@@ -65,132 +69,97 @@ type Report struct {
 const (
 	bottleneck = 50 * time.Millisecond // the consumer's mean period
 	jitterAmp  = 30 * time.Millisecond // uniform ± amplitude in the jitter shape
+
+	// The run parameters BENCH_aru.json is pinned at.
+	defaultSeconds = 60
+	defaultSeed    = 1719
 )
 
 func main() {
 	var (
-		seconds   = flag.Float64("seconds", 60, "virtual seconds per cell")
-		seed      = flag.Uint64("seed", 1719, "jitter PRNG seed")
-		jsonOut   = flag.String("json", "", "write the report to this file")
-		check     = flag.String("check", "", "compare against a pinned report and fail on regression")
-		tolerance = flag.Float64("tolerance", 0.30, "allowed fractional regression under -check")
+		seconds = flag.Float64("seconds", defaultSeconds, "virtual seconds per cell")
+		seed    = flag.Uint64("seed", defaultSeed, "jitter PRNG seed")
+		jsonOut = flag.String("json", "", "write the report to this file")
+		check   = flag.String("check", "", "compare against a pinned report and fail on any difference")
 	)
 	flag.Parse()
 
-	scenarios := []string{"steady", "jitter", "step"}
-	estimators := []string{"raw", "aimd"}
+	rep := measureAll(*seconds, *seed, os.Stdout)
+	if err := invariant(rep); err != nil {
+		fatal("%v", err)
+	}
+	if *jsonOut != "" {
+		if err := pin.Write(*jsonOut, rep); err != nil {
+			fatal("%v", err)
+		}
+		fmt.Printf("\nwrote %s\n", *jsonOut)
+	}
+	if *check != "" {
+		if err := checkPin(rep, *check); err != nil {
+			fatal("check against %s: %v", *check, err)
+		}
+		fmt.Printf("check against %s passed (exact)\n", *check)
+	}
+}
 
+// measureAll runs the scenario × estimator matrix, printing one table
+// row per cell to w.
+func measureAll(seconds float64, seed uint64, w io.Writer) Report {
 	rep := Report{
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
-		Seconds:   *seconds,
-		Seed:      *seed,
+		Seconds:   seconds,
+		Seed:      seed,
 	}
-	fmt.Printf("%-8s %-6s %9s %9s %7s %10s %10s %11s\n",
+	fmt.Fprintf(w, "%-8s %-6s %9s %9s %7s %10s %10s %11s\n",
 		"scenario", "est", "produced", "consumed", "drop%", "mean(ms)", "jitter(ms)", "converge(s)")
-	for _, sc := range scenarios {
-		for _, est := range estimators {
-			res := measure(sc, est, *seconds, *seed)
+	for _, sc := range []string{"steady", "jitter", "step"} {
+		for _, est := range []string{"raw", "aimd"} {
+			res := measure(sc, est, seconds, seed)
 			rep.Results = append(rep.Results, res)
-			fmt.Printf("%-8s %-6s %9d %9d %6.1f%% %10.2f %10.2f %11.2f\n",
+			fmt.Fprintf(w, "%-8s %-6s %9d %9d %6.1f%% %10.2f %10.2f %11.2f\n",
 				res.Scenario, res.Estimator, res.Produced, res.Consumed,
 				100*res.DropRatio, res.MeanIntervalMs, res.JitterMs, res.ConvergenceS)
 		}
 	}
-
-	if *jsonOut != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal("marshal: %v", err)
-		}
-		if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *jsonOut, err)
-		}
-		fmt.Printf("\nwrote %s\n", *jsonOut)
-	}
-
-	if *check != "" {
-		if !runCheck(rep, *check, *tolerance, *seconds, *seed) {
-			os.Exit(1)
-		}
-	}
+	return rep
 }
 
-// runCheck validates the fresh matrix against the pinned report plus the
-// headline AIMD-vs-raw invariant. Cells below the bar are re-measured up
-// to twice and judged on their best attempt.
-func runCheck(rep Report, path string, tol, seconds float64, seed uint64) bool {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		fatal("read %s: %v", path, err)
-	}
-	var pinned Report
-	if err := json.Unmarshal(buf, &pinned); err != nil {
-		fatal("parse %s: %v", path, err)
-	}
-	baseline := make(map[string]Result, len(pinned.Results))
-	for _, r := range pinned.Results {
-		baseline[r.Scenario+"/"+r.Estimator] = r
-	}
-
-	ok := true
-	fresh := make(map[string]Result, len(rep.Results))
+// invariant checks the headline claim the estimator exists for on the
+// fresh numbers: under the jittery consumer, AIMD damping buys at least
+// 2x lower source-rate jitter without costing drops.
+func invariant(rep Report) error {
+	var raw, aimd Result
 	for _, r := range rep.Results {
-		k := r.Scenario + "/" + r.Estimator
-		want, have := baseline[k]
-		if have {
-			// Absolute floors keep near-zero pins (steady-state jitter is
-			// fractions of a millisecond) from demanding exact reproduction.
-			bars := [3]float64{
-				want.JitterMs*(1+tol) + 0.5,
-				want.DropRatio + 0.02,
-				want.ConvergenceS*(1+tol) + 0.5,
-			}
-			below := func(r Result) bool {
-				return r.JitterMs > bars[0] || r.DropRatio > bars[1] || r.ConvergenceS > bars[2]
-			}
-			for retry := 0; retry < 2 && below(r); retry++ {
-				again := measure(r.Scenario, r.Estimator, seconds, seed)
-				if again.JitterMs < r.JitterMs {
-					r.JitterMs = again.JitterMs
-				}
-				if again.DropRatio < r.DropRatio {
-					r.DropRatio = again.DropRatio
-				}
-				if again.ConvergenceS < r.ConvergenceS {
-					r.ConvergenceS = again.ConvergenceS
-				}
-			}
-			if below(r) {
-				ok = false
-				fmt.Fprintf(os.Stderr,
-					"REGRESSION %s: jitter %.2fms (bar %.2f), drop %.3f (bar %.3f), converge %.2fs (bar %.2f)\n",
-					k, r.JitterMs, bars[0], r.DropRatio, bars[1], r.ConvergenceS, bars[2])
-			}
+		switch r.key() {
+		case "jitter/raw":
+			raw = r
+		case "jitter/aimd":
+			aimd = r
 		}
-		fresh[k] = r
 	}
+	var errs []error
+	if aimd.JitterMs*2 > raw.JitterMs {
+		errs = append(errs, fmt.Errorf("INVARIANT jitter/aimd jitter %.2fms not 2x below jitter/raw %.2fms",
+			aimd.JitterMs, raw.JitterMs))
+	}
+	if aimd.DropRatio > raw.DropRatio {
+		errs = append(errs, fmt.Errorf("INVARIANT jitter/aimd drop ratio %.3f worse than jitter/raw %.3f",
+			aimd.DropRatio, raw.DropRatio))
+	}
+	return errors.Join(errs...)
+}
 
-	// The headline claim the estimator exists for: under the jittery
-	// consumer, AIMD damping buys at least 2x lower source-rate jitter
-	// without costing drops.
-	raw, aimd := fresh["jitter/raw"], fresh["jitter/aimd"]
-	if raw.Produced > 0 && aimd.Produced > 0 {
-		if aimd.JitterMs*2 > raw.JitterMs {
-			ok = false
-			fmt.Fprintf(os.Stderr, "INVARIANT jitter/aimd jitter %.2fms not 2x below jitter/raw %.2fms\n",
-				aimd.JitterMs, raw.JitterMs)
-		}
-		if aimd.DropRatio > raw.DropRatio+0.02 {
-			ok = false
-			fmt.Fprintf(os.Stderr, "INVARIANT jitter/aimd drop ratio %.3f worse than jitter/raw %.3f\n",
-				aimd.DropRatio, raw.DropRatio)
-		}
+// checkPin compares the fresh matrix to the pinned report exactly.
+func checkPin(rep Report, path string) error {
+	var pinned Report
+	if err := pin.Load(path, &pinned); err != nil {
+		return err
 	}
-	if ok {
-		fmt.Printf("check against %s passed (tolerance %.0f%%)\n", path, tol*100)
-	}
-	return ok
+	return pin.Compare([]pin.Param{
+		{Name: "seed", Pinned: pinned.Seed, Running: rep.Seed},
+		{Name: "virtual_seconds", Pinned: pinned.Seconds, Running: rep.Seconds},
+	}, pinned.Results, rep.Results, Result.key)
 }
 
 func fatal(format string, args ...any) {

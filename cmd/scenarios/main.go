@@ -10,14 +10,12 @@
 //	go run ./cmd/scenarios -check BENCH_scenarios.json
 //	SCENARIO_SEED=7 go run ./cmd/scenarios               # reseed the matrix
 //
-// Every cell runs under the virtual clock, so its metrics are
-// bit-reproducible across machines: -check therefore defaults to exact
-// equality (tolerance 0), catching ANY behavioral drift in the runtime,
-// the estimators, or the generator — not just large regressions. A
-// nonzero -tolerance relaxes the comparison to the headline rates for
-// bisecting an intentional behavior change. The clock fixes the order
-// in which a cell's threads run, on any number of processors, so a cell
-// that misses its pin is a regression outright; it is not re-measured.
+// Every cell runs under the virtual clock, which fixes the order in
+// which a cell's threads run on any number of processors, so its
+// metrics are bit-reproducible across machines. -check therefore
+// demands exact equality, catching ANY behavioral drift in the runtime,
+// the estimators, or the generator — not just large regressions. A run
+// under a seed other than the pinned one fails at once.
 //
 // The AIMD differential is asserted outright on every (topology, shape)
 // pair: the damped estimator must not drop more items than raw
@@ -25,13 +23,15 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
 
+	"repro/internal/pin"
 	"repro/internal/rand"
 	"repro/internal/scenario"
 )
@@ -53,70 +53,84 @@ type cellSpec struct {
 	elastic          bool
 }
 
+const (
+	// defaultSeed is the seed BENCH_scenarios.json is pinned at.
+	defaultSeed = 1719
+	// cellDuration is every cell's virtual run length. The pin does
+	// not record it, so it is not a flag.
+	cellDuration = 4 * time.Second
+)
+
 func main() {
 	var (
-		seed      = flag.Uint64("seed", uint64(rand.EnvSeed("SCENARIO_SEED", 1719)), "generator seed (SCENARIO_SEED env overrides the default)")
-		duration  = flag.Duration("duration", 4*time.Second, "virtual run length per cell")
-		jsonOut   = flag.String("json", "", "write the report to this file")
-		check     = flag.String("check", "", "compare against a pinned report and fail on drift")
-		tolerance = flag.Float64("tolerance", 0, "allowed fractional drift under -check (0 = exact equality)")
+		seed    = flag.Uint64("seed", uint64(rand.EnvSeed("SCENARIO_SEED", defaultSeed)), "generator seed (SCENARIO_SEED env overrides the default)")
+		jsonOut = flag.String("json", "", "write the report to this file")
+		check   = flag.String("check", "", "compare against a pinned report and fail on any difference")
 	)
 	flag.Parse()
 
-	cells := matrix()
-	var rep Report
-	rep.GoVersion = runtime.Version()
-	rep.NumCPU = runtime.NumCPU()
-	rep.Seed = *seed
-
-	fmt.Printf("%-8s %-7s %-5s %6s %9s %9s %6s %7s %10s %9s %8s\n",
-		"topology", "shape", "est", "fail", "produced", "emitted", "drops", "ratio", "mu_mean_B", "putp99ms", "restarts")
-	drops := map[string]int{} // (topo/shape/failures) → drops per estimator, for the differential
-	for _, c := range cells {
-		cm := measure(c, *seed, *duration)
-		rep.Cells = append(rep.Cells, cm)
-		fmt.Printf("%-8s %-7s %-5s %6d %9d %9d %6d %7.3f %10.0f %9.2f %8d\n",
-			cm.Topology, cm.Shape, cm.Estimator, c.failures, cm.Produced, cm.Emitted,
-			cm.Drops, cm.DropRatio, cm.MUMeanBytes, cm.PutWaitP99Ms, cm.Restarts)
-		drops[diffKey(c)+"/"+c.est] = cm.Drops
+	rep := measureAll(*seed, os.Stdout)
+	if err := differential(rep); err != nil {
+		fatal("%v", err)
 	}
-
-	// The matrix-wide AIMD differential: damping must not cost drops in
-	// any cell. This is the headline invariant, asserted on every run —
-	// pinned numbers age, the inequality does not.
-	violated := false
-	for _, c := range cells {
-		if c.est != "aimd" {
-			continue
-		}
-		raw, ok := drops[diffKey(c)+"/raw"]
-		if !ok {
-			continue
-		}
-		if aimd := drops[diffKey(c)+"/aimd"]; aimd > raw {
-			violated = true
-			fmt.Fprintf(os.Stderr, "AIMD REGRESSION %s: aimd dropped %d > raw %d\n", diffKey(c), aimd, raw)
-		}
-	}
-	if violated {
-		os.Exit(1)
-	}
-	fmt.Printf("\nAIMD differential holds across %d cells (aimd drops ≤ raw drops everywhere)\n", len(cells))
-
+	fmt.Printf("\nAIMD differential holds across %d cells (aimd drops ≤ raw drops everywhere)\n", len(rep.Cells))
 	if *jsonOut != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fatal("marshal: %v", err)
-		}
-		if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
-			fatal("write %s: %v", *jsonOut, err)
+		if err := pin.Write(*jsonOut, rep); err != nil {
+			fatal("%v", err)
 		}
 		fmt.Printf("wrote %s\n", *jsonOut)
 	}
-
 	if *check != "" {
-		checkAgainst(*check, &rep, *seed, *tolerance)
+		if err := checkPin(rep, *check); err != nil {
+			fatal("check against %s: %v", *check, err)
+		}
+		fmt.Printf("check against %s passed (%d cells, exact)\n", *check, len(rep.Cells))
 	}
+}
+
+// measureAll runs every matrix cell, printing one table row per cell
+// to w.
+func measureAll(seed uint64, w io.Writer) Report {
+	rep := Report{GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(), Seed: seed}
+	fmt.Fprintf(w, "%-8s %-7s %-5s %6s %9s %9s %6s %7s %10s %9s %8s\n",
+		"topology", "shape", "est", "fail", "produced", "emitted", "drops", "ratio", "mu_mean_B", "putp99ms", "restarts")
+	for _, c := range matrix() {
+		cm := measure(c, seed)
+		rep.Cells = append(rep.Cells, cm)
+		fmt.Fprintf(w, "%-8s %-7s %-5s %6d %9d %9d %6d %7.3f %10.0f %9.2f %8d\n",
+			cm.Topology, cm.Shape, cm.Estimator, c.failures, cm.Produced, cm.Emitted,
+			cm.Drops, cm.DropRatio, cm.MUMeanBytes, cm.PutWaitP99Ms, cm.Restarts)
+	}
+	return rep
+}
+
+// differential checks the matrix-wide AIMD differential: damping must
+// not cost drops in any cell. This is the headline invariant, asserted
+// on every run — pinned numbers age, the inequality does not.
+func differential(rep Report) error {
+	raw := map[string]int{} // diffKey → raw drops
+	for _, cm := range rep.Cells {
+		if cm.Estimator == "raw" {
+			raw[diffKey(cm)] = cm.Drops
+		}
+	}
+	var errs []error
+	for _, cm := range rep.Cells {
+		if r, ok := raw[diffKey(cm)]; ok && cm.Estimator == "aimd" && cm.Drops > r {
+			errs = append(errs, fmt.Errorf("AIMD REGRESSION %s: aimd dropped %d > raw %d", diffKey(cm), cm.Drops, r))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// checkPin compares the fresh cells to the pinned report exactly.
+func checkPin(rep Report, path string) error {
+	var pinned Report
+	if err := pin.Load(path, &pinned); err != nil {
+		return err
+	}
+	return pin.Compare([]pin.Param{{Name: "seed", Pinned: pinned.Seed, Running: rep.Seed}},
+		pinned.Cells, rep.Cells, cellKey)
 }
 
 // matrix enumerates the pinned cells: every topology × load shape for
@@ -161,17 +175,17 @@ func matrix() []cellSpec {
 // attached, so the pin also covers the metrics-series count (the
 // deterministic proxy for metrics-subsystem overhead; behavioral
 // neutrality is asserted separately in the scenario test suite).
-func measure(c cellSpec, seed uint64, duration time.Duration) *scenario.CellMetrics {
+func measure(c cellSpec, seed uint64) *scenario.CellMetrics {
 	p := scenario.DefaultParams(seed, c.topo, c.shape)
-	p.Duration = duration
+	p.Duration = cellDuration
 	p.Failures = c.failures
 	spec, err := scenario.Generate(p)
 	if err != nil {
-		fatal("generate %s: %v", diffKey(c), err)
+		fatal("generate %s/%s: %v", c.topo, c.shape, err)
 	}
 	cm, err := scenario.Run(spec, scenario.RunConfig{Estimator: c.est, Metrics: true, Drain: c.drain, Elastic: c.elastic})
 	if err != nil {
-		fatal("run %s/%s: %v", diffKey(c), c.est, err)
+		fatal("run %s/%s/%s: %v", c.topo, c.shape, c.est, err)
 	}
 	return cm
 }
@@ -180,8 +194,8 @@ func measure(c cellSpec, seed uint64, duration time.Duration) *scenario.CellMetr
 // differential compares across. Drain and elastic cells carry a suffix
 // so they never collide with (and are never compared against) the
 // plain runs of the same coordinate.
-func diffKey(c cellSpec) string {
-	return fmt.Sprintf("%s/%s/f%d%s", c.topo, c.shape, c.failures, variantSuffix(c.drain, c.elastic))
+func diffKey(cm *scenario.CellMetrics) string {
+	return fmt.Sprintf("%s/%s/f%d%s", cm.Topology, cm.Shape, cm.Failures, variantSuffix(cm.DrainMode, cm.ElasticMode))
 }
 
 func cellKey(cm *scenario.CellMetrics) string {
@@ -196,69 +210,6 @@ func variantSuffix(drain, elastic bool) string {
 		return "/elastic"
 	}
 	return ""
-}
-
-// checkAgainst compares fresh cells to the pinned report. Tolerance 0
-// demands byte-identical metric snapshots (the determinism contract);
-// a nonzero tolerance compares only emitted/drops rates fractionally.
-func checkAgainst(path string, rep *Report, seed uint64, tolerance float64) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		fatal("read %s: %v", path, err)
-	}
-	var pinned Report
-	if err := json.Unmarshal(buf, &pinned); err != nil {
-		fatal("parse %s: %v", path, err)
-	}
-	if pinned.Seed != seed {
-		fatal("pinned seed %d, running seed %d: a -check run must use the pinned seed", pinned.Seed, seed)
-	}
-	base := make(map[string]*scenario.CellMetrics, len(pinned.Cells))
-	for _, cm := range pinned.Cells {
-		base[cellKey(cm)] = cm
-	}
-
-	failed := false
-	for _, cm := range rep.Cells {
-		want, ok := base[cellKey(cm)]
-		if !ok {
-			continue // new cell, nothing pinned yet
-		}
-		if cellMatches(cm, want, tolerance) {
-			continue
-		}
-		failed = true
-		got, _ := json.Marshal(cm)
-		exp, _ := json.Marshal(want)
-		fmt.Fprintf(os.Stderr, "REGRESSION %s:\n  got  %s\n  want %s\n", cellKey(cm), got, exp)
-	}
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Printf("check against %s passed (%d cells, tolerance %.0f%%)\n", path, len(pinned.Cells), tolerance*100)
-}
-
-// cellMatches compares one cell to its pin. Exact mode compares the
-// whole JSON snapshot; tolerant mode compares the headline rates.
-func cellMatches(got, want *scenario.CellMetrics, tolerance float64) bool {
-	if tolerance == 0 {
-		a, _ := json.Marshal(got)
-		b, _ := json.Marshal(want)
-		return string(a) == string(b)
-	}
-	return withinFrac(float64(got.Emitted), float64(want.Emitted), tolerance) &&
-		withinFrac(float64(got.Drops), float64(want.Drops), tolerance)
-}
-
-func withinFrac(got, want, tolerance float64) bool {
-	if want == 0 {
-		return got == 0
-	}
-	d := got - want
-	if d < 0 {
-		d = -d
-	}
-	return d <= want*tolerance
 }
 
 func fatal(format string, args ...any) {

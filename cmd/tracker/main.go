@@ -35,16 +35,14 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit the run summary as JSON instead of text")
 		realtime = flag.Float64("realtime", 0, "run against the wall clock at this speed-up (0 = virtual clock)")
 
-		hotstage  = flag.Bool("hotstage", false, "run the elastic-recovery experiment (balanced vs hot vs hot+elastic) instead of a single run")
-		hotfactor = flag.Float64("hotfactor", 3, "hot-stage multiplier on target-detect-1's compute (with -hotstage)")
-		outPath   = flag.String("out", "", "with -hotstage: write the report JSON to this file (e.g. BENCH_elastic.json)")
-		check     = flag.String("check", "", "with -hotstage: compare against a pinned report and fail on regression")
-		tolerance = flag.Float64("tolerance", 0.30, "allowed fractional fps regression under -check")
+		hotstage = flag.Bool("hotstage", false, "run the elastic-recovery experiment (balanced vs hot vs hot+elastic) instead of a single run")
+		outPath  = flag.String("out", "", "with -hotstage: write the report JSON to this file (e.g. BENCH_elastic.json)")
+		check    = flag.String("check", "", "with -hotstage: compare against a pinned report and fail on any difference")
 	)
 	flag.Parse()
 
 	if *hotstage {
-		runHotStage(*hosts, (*duration).Seconds(), (*warmup).Seconds(), *seed, *hotfactor, *outPath, *check, *tolerance)
+		runHotStage(*outPath, *check)
 		return
 	}
 

@@ -14,7 +14,7 @@ import (
 )
 
 // Prometheus family names for the per-buffer instruments registered by
-// Base.Init. They carry a {buffer="<name>"} label.
+// NewInstruments. They carry a {buffer="<name>"} label.
 const (
 	MetricPuts       = "aru_buffer_puts_total"
 	MetricFrees      = "aru_buffer_frees_total"
@@ -49,18 +49,99 @@ type Consumer struct {
 	WindowScratch  []Item
 }
 
-// Base owns the machinery every in-process buffer backend needs: FIFO
-// queues of parked consumers and producers whose waits go through the
-// clock (clock.Park/Ready), producer/consumer attachment maps, capacity
-// blocking with blocked-time measurement, and liveBytes/puts/frees
-// accounting. Backends embed it and add their storage discipline (a
-// sorted live run plus put history for channels, a head-indexed slice for
-// queues).
+// Instruments are the live per-buffer metric handles, resolved once by
+// NewInstruments (the cold path). All are nil when Config.Metrics is
+// nil, and every metrics method no-ops on nil, so an event costs one
+// branch with metrics off and a fixed number of atomic ops with them on.
+type Instruments struct {
+	MPuts       *metrics.Counter
+	MFrees      *metrics.Counter
+	MItemsHW    *metrics.Gauge
+	MBytesHW    *metrics.Gauge
+	MPutBlocked *metrics.Histogram
+	MDrained    *metrics.Counter
+	MShed       *metrics.Counter
+}
+
+// NewInstruments registers the per-buffer metric families for cfg. It
+// returns the zero Instruments when cfg.Metrics is nil.
+func NewInstruments(cfg Config) Instruments {
+	reg := cfg.Metrics
+	if reg == nil {
+		return Instruments{}
+	}
+	ls := cfg.MetricLabels()
+	return Instruments{
+		MPuts:       reg.Counter(MetricPuts, "Items inserted into the buffer.", ls),
+		MFrees:      reg.Counter(MetricFrees, "Items reclaimed by the collector (or drained).", ls),
+		MItemsHW:    reg.Gauge(MetricItemsHW, "High-water mark of live items.", ls),
+		MBytesHW:    reg.Gauge(MetricBytesHW, "High-water mark of live bytes.", ls),
+		MPutBlocked: reg.Histogram(MetricPutBlocked, "Time producers spent blocked on capacity (blocking puts only).", nil, ls),
+		MDrained:    reg.Counter(MetricDrained, "Items delivered to a consumer after the buffer was sealed for drain.", ls),
+		MShed:       reg.Counter(MetricShed, "Items discarded undelivered at shutdown (explicitly shed, not silently lost).", ls),
+	}
+}
+
+// HighWater returns the high-water marks of live items and bytes since
+// creation. Zeros when metrics are disabled (the marks are only
+// maintained by the instrument handles, keeping the metrics-off hot
+// path free of extra work). Implements HighWaterer.
+func (in *Instruments) HighWater() (items, bytes int64) {
+	return in.MItemsHW.Value(), in.MBytesHW.Value()
+}
+
+// WaitQueue is a FIFO of goroutines parked through a clock
+// (clock.Park/Ready). A waker readies exactly the waiters it wakes,
+// oldest first, so a discrete-event clock hands them the turn in a
+// defined order. The zero value is ready to use; the caller's mutex
+// guards it.
+type WaitQueue struct {
+	q    []clock.Ticket
+	free []clock.Ticket // tickets for reuse: a parked wait allocates nothing
+}
+
+// Wait queues the caller and blocks it, mu released, until a Wake
+// readies its ticket; it returns with mu held again. The caller holds
+// mu and re-checks its predicate afterwards.
+func (w *WaitQueue) Wait(c clock.Clock, mu *sync.Mutex) {
+	var tk clock.Ticket
+	if n := len(w.free); n > 0 {
+		tk, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		tk = clock.NewTicket()
+	}
+	w.q = append(w.q, tk)
+	mu.Unlock()
+	clock.Park(c, tk)
+	mu.Lock()
+	w.free = append(w.free, tk)
+}
+
+// Wake readies the n oldest waiters, or all of them when n is negative
+// or exceeds the queue. The caller holds the guarding mutex.
+func (w *WaitQueue) Wake(c clock.Clock, n int) {
+	q := w.q
+	if n < 0 || n > len(q) {
+		n = len(q)
+	}
+	for _, tk := range q[:n] {
+		clock.Ready(c, tk)
+	}
+	rest := copy(q, q[n:])
+	clear(q[rest:])
+	w.q = q[:rest]
+}
+
+// Base owns the machinery every in-process buffer backend needs: wait
+// queues of parked consumers and producers, producer/consumer attachment
+// maps, capacity blocking with blocked-time measurement, and
+// liveBytes/puts/frees accounting. Backends embed it and add their
+// storage discipline (a sorted live run plus put history for channels, a
+// head-indexed slice for queues).
 //
 // Consumers waiting for fresh data park on consQ (woken by puts and
 // close), producers waiting for capacity on prodQ (woken by frees and
-// close). A waker readies exactly the waiters it wakes, oldest first, so
-// a discrete-event clock hands them the turn in a defined order.
+// close).
 type Base struct {
 	// Cfg is the buffer's configuration with defaults applied (Clock and
 	// Collector are never nil after Init).
@@ -72,9 +153,8 @@ type Base struct {
 	// Mu guards all mutable state of the Base and of the embedding
 	// backend.
 	Mu    sync.Mutex
-	consQ []clock.Ticket // consumers parked for a fresh item (or close)
-	prodQ []clock.Ticket // producers parked for capacity (or close)
-	free  []clock.Ticket // tickets for reuse: a parked wait allocates nothing
+	consQ WaitQueue // consumers parked for a fresh item (or close)
+	prodQ WaitQueue // producers parked for capacity (or close)
 
 	// Consumers are the attached consumer connections in attach order: a
 	// buffer has a handful, and the per-advance collection sweep walks
@@ -111,16 +191,7 @@ type Base struct {
 	// hot path never allocates a closure crossing the package boundary.
 	occupied func() int
 
-	// Live instruments (nil when Cfg.Metrics is nil — every use no-ops
-	// after one branch). Handles are resolved once at Init, the cold
-	// path; an enabled event is a fixed number of atomic ops.
-	mPuts       *metrics.Counter
-	mFrees      *metrics.Counter
-	mItemsHW    *metrics.Gauge
-	mBytesHW    *metrics.Gauge
-	mPutBlocked *metrics.Histogram
-	mDrained    *metrics.Counter
-	mShed       *metrics.Counter
+	Instruments
 }
 
 // Init prepares the Base: applies Config defaults (real clock, no-op
@@ -137,16 +208,7 @@ func (b *Base) Init(cfg Config, occupied func() int) {
 	}
 	b.Producers = make(map[graph.ConnID]bool)
 	b.occupied = occupied
-	if reg := cfg.Metrics; reg != nil {
-		ls := cfg.MetricLabels()
-		b.mPuts = reg.Counter(MetricPuts, "Items inserted into the buffer.", ls)
-		b.mFrees = reg.Counter(MetricFrees, "Items reclaimed by the collector (or drained).", ls)
-		b.mItemsHW = reg.Gauge(MetricItemsHW, "High-water mark of live items.", ls)
-		b.mBytesHW = reg.Gauge(MetricBytesHW, "High-water mark of live bytes.", ls)
-		b.mPutBlocked = reg.Histogram(MetricPutBlocked, "Time producers spent blocked on capacity (blocking puts only).", nil, ls)
-		b.mDrained = reg.Counter(MetricDrained, "Items delivered to a consumer after the buffer was sealed for drain.", ls)
-		b.mShed = reg.Counter(MetricShed, "Items discarded undelivered at shutdown (explicitly shed, not silently lost).", ls)
-	}
+	b.Instruments = NewInstruments(cfg)
 }
 
 // Name returns the buffer's system-wide unique name.
@@ -157,37 +219,6 @@ func (b *Base) Node() graph.NodeID { return b.Cfg.Node }
 
 // Clock returns the buffer's clock (never nil after Init).
 func (b *Base) Clock() clock.Clock { return b.Cfg.Clock }
-
-// park queues the caller on q and blocks it, Mu released, until a waker
-// readies its ticket; it returns with Mu held again.
-func (b *Base) park(q *[]clock.Ticket) {
-	var tk clock.Ticket
-	if n := len(b.free); n > 0 {
-		tk, b.free = b.free[n-1], b.free[:n-1]
-	} else {
-		tk = clock.NewTicket()
-	}
-	*q = append(*q, tk)
-	b.Mu.Unlock()
-	clock.Park(b.Cfg.Clock, tk)
-	b.Mu.Lock()
-	b.free = append(b.free, tk)
-}
-
-// wakeLocked readies the n oldest waiters on q, or all of them when n is
-// negative or exceeds the queue.
-func (b *Base) wakeLocked(q *[]clock.Ticket, n int) {
-	w := *q
-	if n < 0 || n > len(w) {
-		n = len(w)
-	}
-	for _, tk := range w[:n] {
-		clock.Ready(b.Cfg.Clock, tk)
-	}
-	rest := copy(w, w[n:])
-	clear(w[rest:])
-	*q = w[:rest]
-}
 
 // WaitTimer measures one get's blocked time. The clock is read when the
 // get first parks and once more when it returns, so a get that never
@@ -204,7 +235,7 @@ func (b *Base) WaitConsumer(w *WaitTimer) {
 	if !w.parked {
 		w.start, w.parked = b.Cfg.Clock.Now(), true
 	}
-	b.park(&b.consQ)
+	b.consQ.Wait(b.Cfg.Clock, &b.Mu)
 }
 
 // Waited returns how long the get timed by w has blocked: zero, with no
@@ -219,7 +250,7 @@ func (b *Base) Waited(w *WaitTimer) time.Duration {
 // SignalConsumersLocked wakes up to n parked consumers — one per newly
 // enqueued item. FIFO backends use it on puts so a k-item batch wakes
 // min(k, waiters) consumers.
-func (b *Base) SignalConsumersLocked(n int) { b.wakeLocked(&b.consQ, n) }
+func (b *Base) SignalConsumersLocked(n int) { b.consQ.Wake(b.Cfg.Clock, n) }
 
 // AtCapacityLocked reports whether a put would block right now. Batch
 // puts consult it before each insert so they can publish (and wake
@@ -253,7 +284,7 @@ func (b *Base) AwaitCapacityLocked() (time.Duration, error) {
 			b.accountPutBlockedLocked(d)
 			return d, fmt.Errorf("%w: all consumers of %q failed while producer blocked on capacity", ErrPeerFailed, b.Cfg.Name)
 		}
-		b.park(&b.prodQ)
+		b.prodQ.Wait(b.Cfg.Clock, &b.Mu)
 	}
 	d := b.Cfg.Clock.Now() - start
 	if d > 0 {
@@ -271,7 +302,7 @@ func (b *Base) AwaitCapacityLocked() (time.Duration, error) {
 func (b *Base) accountPutBlockedLocked(d time.Duration) {
 	b.putBlockedNs += int64(d)
 	b.putBlockedN++
-	b.mPutBlocked.Observe(d)
+	b.MPutBlocked.Observe(d)
 }
 
 // PutBlocked returns the cumulative time producers spent blocked on
@@ -316,7 +347,7 @@ func (b *Base) ConsumersExhaustedLocked() bool {
 // a channel (its consumers wait on heterogeneous predicates), and when
 // the last producer fails so blocked gets re-check the exhaustion
 // predicate.
-func (b *Base) BroadcastConsumersLocked() { b.wakeLocked(&b.consQ, -1) }
+func (b *Base) BroadcastConsumersLocked() { b.consQ.Wake(b.Cfg.Clock, -1) }
 
 // CheckProducerLocked validates that conn is an attached producer.
 func (b *Base) CheckProducerLocked(conn graph.ConnID) error {
@@ -384,10 +415,10 @@ func (b *Base) AccountPutBatchLocked(items []*Item) {
 	}
 	b.liveBytes += bytes
 	b.puts += int64(len(items))
-	if b.mPuts != nil {
-		b.mPuts.Add(int64(len(items)))
-		b.mItemsHW.Max(int64(b.occupied()))
-		b.mBytesHW.Max(b.liveBytes)
+	if b.MPuts != nil {
+		b.MPuts.Add(int64(len(items)))
+		b.MItemsHW.Max(int64(b.occupied()))
+		b.MBytesHW.Max(b.liveBytes)
 	}
 }
 
@@ -413,12 +444,12 @@ func (b *Base) RecycleLocked(it *Item) {
 func (b *Base) AccountFreeLocked(it *Item) {
 	b.liveBytes -= it.Size
 	b.frees++
-	b.mFrees.Inc()
+	b.MFrees.Inc()
 	if b.Cfg.OnFree != nil {
 		b.Cfg.OnFree(it)
 	}
 	if b.Cfg.Capacity > 0 {
-		b.wakeLocked(&b.prodQ, 1)
+		b.prodQ.Wake(b.Cfg.Clock, 1)
 	}
 }
 
@@ -462,9 +493,7 @@ func (b *Base) Drained() bool {
 func (b *Base) NoteDeliveredLocked(n int) {
 	if b.sealed && n > 0 {
 		b.drained += int64(n)
-		if b.mDrained != nil {
-			b.mDrained.Add(int64(n))
-		}
+		b.MDrained.Add(int64(n))
 	}
 }
 
@@ -476,9 +505,7 @@ func (b *Base) AccountShedLocked(n int64) {
 		return
 	}
 	b.shed += n
-	if b.mShed != nil {
-		b.mShed.Add(n)
-	}
+	b.MShed.Add(n)
 }
 
 // DrainStats returns the cumulative drain accounting: items delivered
@@ -506,14 +533,14 @@ func (b *Base) ClosedLocked() bool { return b.closed }
 // BroadcastLocked wakes every blocked operation (used on close and
 // drain).
 func (b *Base) BroadcastLocked() {
-	b.wakeLocked(&b.consQ, -1)
-	b.wakeLocked(&b.prodQ, -1)
+	b.consQ.Wake(b.Cfg.Clock, -1)
+	b.prodQ.Wake(b.Cfg.Clock, -1)
 }
 
 // BroadcastFullLocked wakes all capacity waiters (used by Drain, which
 // frees slots without going through AccountFreeLocked's one-signal-per-
 // slot discipline).
-func (b *Base) BroadcastFullLocked() { b.wakeLocked(&b.prodQ, -1) }
+func (b *Base) BroadcastFullLocked() { b.prodQ.Wake(b.Cfg.Clock, -1) }
 
 // Closed reports whether Close has been called.
 func (b *Base) Closed() bool {
@@ -534,17 +561,6 @@ func (b *Base) Stats() (puts, frees int64) {
 	b.Mu.Lock()
 	defer b.Mu.Unlock()
 	return b.puts, b.frees
-}
-
-// HighWater returns the high-water marks of live items and bytes since
-// creation. Zeros when metrics are disabled (the marks are only
-// maintained by the instrument handles, keeping the metrics-off hot
-// path free of extra work). Implements HighWaterer.
-func (b *Base) HighWater() (items, bytes int64) {
-	if b.mItemsHW == nil {
-		return 0, 0
-	}
-	return b.mItemsHW.Value(), b.mBytesHW.Value()
 }
 
 // LiveBytesLocked returns the current live byte count; callers hold Mu.

@@ -76,8 +76,10 @@ type Endpoint struct {
 	frees     int64
 	drained   int64 // items served to a consumer after Seal
 
-	mDrained *metrics.Counter
-	mShed    *metrics.Counter
+	// inst are the per-buffer families every backend registers. The
+	// endpoint maintains puts and drained; its items live on the server,
+	// so the local high-water marks stay zero.
+	inst buffer.Instruments
 }
 
 // NewEndpoint creates a wire-backed endpoint for the channel named
@@ -107,9 +109,8 @@ func NewEndpoint(cfg buffer.Config) (*Endpoint, error) {
 			Reattached: reg.Counter(MetricReattached, "Successful redial+replay cycles (ErrReattached).", ls),
 			PutRetries: reg.Counter(MetricPutRetries, "Puts re-sent with the idempotent-retry flag.", ls),
 		}
-		e.mDrained = reg.Counter(buffer.MetricDrained, "Items delivered to a consumer after the buffer was sealed for drain.", ls)
-		e.mShed = reg.Counter(buffer.MetricShed, "Items discarded undelivered at shutdown (explicitly shed, not silently lost).", ls)
 	}
+	e.inst = buffer.NewInstruments(cfg)
 	return e, nil
 }
 
@@ -282,6 +283,7 @@ func (e *Endpoint) Put(conn graph.ConnID, it *buffer.Item) (time.Duration, error
 	e.mu.Lock()
 	e.puts++
 	e.mu.Unlock()
+	e.inst.MPuts.Inc()
 	if e.cfg.Feedback != nil {
 		e.cfg.Feedback.ObserveBufferSummary(summary)
 	}
@@ -453,8 +455,8 @@ func (e *Endpoint) noteDelivered(n int) {
 		e.drained += int64(n)
 	}
 	e.mu.Unlock()
-	if sealed && e.mDrained != nil {
-		e.mDrained.Add(int64(n))
+	if sealed {
+		e.inst.MDrained.Add(int64(n))
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package ring implements a bounded lock-free FIFO buffer backend for
 // the throughput regime the ROADMAP's "millions of users" north star
 // asks for: hot-path puts and gets are a handful of atomic operations —
-// no mutex, no condition variable, no allocation — with a mutex+condvar
-// slow path entered only when the ring is actually empty (consumer) or
-// full (producers).
+// no mutex, no allocation — with a parking slow path entered only when
+// the ring is actually empty (consumer) or full (producers).
 //
 // The design is the classic bounded MPMC ring specialized to this
 // repo's shapes: a power-of-two slot array where each slot carries a
@@ -25,14 +24,13 @@
 //
 // Blocking is spin-then-park: a bounded Gosched spin absorbs the
 // microsecond-scale waits of a busy pipeline, then the waiter registers
-// itself in an atomic sleeper count and parks on a condvar. Publishers
+// itself in an atomic sleeper count and parks on a buffer.WaitQueue,
+// through the clock like every other in-process backend. Publishers
 // check the sleeper count (one atomic load when nobody sleeps) after
 // releasing a slot; the sequentially consistent store/load ordering of
-// Go atomics makes the classic sleeper handshake race-free. Because the
-// spin phase burns real CPU, the ring requires a real (or scaled)
-// clock: under a discrete-event virtual clock a spinning goroutine
-// would freeze virtual time, so New rejects clock.Registrar clocks and
-// the runtime's auto-selection never picks the ring for them.
+// Go atomics makes the classic sleeper handshake race-free. On a clock
+// that schedules its participants (clock.Registrar) the spin is skipped:
+// the spinner would hold the turn its peer needs to make progress.
 //
 // Ring is registered as "ring": FIFO discipline, TryGet, single
 // consumer, one or many producers (the mode is frozen by the number of
@@ -50,7 +48,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/clock"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/vt"
 )
 
@@ -66,8 +63,8 @@ var caps = buffer.Caps{
 	TryGet:     true,
 }
 
-// spins bounds the Gosched spin phase before a waiter parks on the
-// condvar slow path.
+// spins bounds the Gosched spin phase before a waiter parks on the slow
+// path.
 const spins = 64
 
 // noConn is the "no consumer attached" sentinel (graph connection ids
@@ -115,33 +112,34 @@ type Ring struct {
 	sleepCons atomic.Int32
 	sleepProd atomic.Int32
 
-	// mu guards attachment mutations and backs the park/wake slow path.
-	// The hot paths read the attachment state lock-free: producers is a
+	// putBlockedNs / putBlockedN accumulate the producers' parked time
+	// and parked puts: the elastic scheduler's backlog-pressure sensor.
+	putBlockedNs atomic.Int64
+	putBlockedN  atomic.Int64
+
+	// mu guards attachment mutations and the two wait queues. The hot
+	// paths read the attachment state lock-free: producers is a
 	// copy-on-write set behind an atomic pointer, consumer an atomic
 	// conn id (negative: none attached) — so checkProducer/checkConsumer
 	// never race with FailProducer/FailConsumer rewriting the tables.
 	mu         sync.Mutex
-	notEmpty   *sync.Cond
-	notFull    *sync.Cond
+	notEmpty   buffer.WaitQueue // the consumer, parked for a published slot
+	notFull    buffer.WaitQueue // producers, parked for a free slot
 	producers  atomic.Pointer[map[graph.ConnID]bool]
 	consumer   atomic.Int64 // graph.ConnID, or noConn
 	prodFailed int
 	consFailed int
 
-	// Live instruments (nil when Cfg.Metrics is nil).
-	mPuts       *metrics.Counter
-	mFrees      *metrics.Counter
-	mItemsHW    *metrics.Gauge
-	mBytesHW    *metrics.Gauge
-	mPutBlocked *metrics.Histogram
-	mDrained    *metrics.Counter
-	mShed       *metrics.Counter
+	// spin is the Gosched spin budget before a waiter parks: spins on a
+	// free-running clock, none on one that schedules its participants.
+	spin int
+
+	buffer.Instruments
 }
 
 // New creates a ring. Capacity must be positive and is rounded up to
 // the next power of two (the mask trick needs it; the documented
-// capacity of a ring buffer is its slot count). A discrete-event
-// virtual clock is rejected: the spin phase would freeze virtual time.
+// capacity of a ring buffer is its slot count).
 func New(cfg buffer.Config) (*Ring, error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("ring: %q requires a positive capacity (got %d): a lock-free ring is bounded by construction", cfg.Name, cfg.Capacity)
@@ -149,17 +147,16 @@ func New(cfg buffer.Config) (*Ring, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewReal()
 	}
-	if _, isReg := cfg.Clock.(clock.Registrar); isReg {
-		return nil, fmt.Errorf("ring: %q requires a real clock: the spin phase would freeze a discrete-event clock", cfg.Name)
-	}
 	size := 1
 	for size < cfg.Capacity {
 		size <<= 1
 	}
 	r := &Ring{
-		cfg:   cfg,
-		slots: make([]slot, size),
-		mask:  uint64(size - 1),
+		cfg:         cfg,
+		slots:       make([]slot, size),
+		mask:        uint64(size - 1),
+		spin:        spinBudget(cfg.Clock),
+		Instruments: buffer.NewInstruments(cfg),
 	}
 	empty := map[graph.ConnID]bool{}
 	r.producers.Store(&empty)
@@ -167,19 +164,17 @@ func New(cfg buffer.Config) (*Ring, error) {
 	for i := range r.slots {
 		r.slots[i].seq.Store(uint64(i))
 	}
-	r.notEmpty = sync.NewCond(&r.mu)
-	r.notFull = sync.NewCond(&r.mu)
-	if reg := cfg.Metrics; reg != nil {
-		ls := cfg.MetricLabels()
-		r.mPuts = reg.Counter(buffer.MetricPuts, "Items inserted into the buffer.", ls)
-		r.mFrees = reg.Counter(buffer.MetricFrees, "Items reclaimed by the collector (or drained).", ls)
-		r.mItemsHW = reg.Gauge(buffer.MetricItemsHW, "High-water mark of live items.", ls)
-		r.mBytesHW = reg.Gauge(buffer.MetricBytesHW, "High-water mark of live bytes.", ls)
-		r.mPutBlocked = reg.Histogram(buffer.MetricPutBlocked, "Time producers spent blocked on capacity (blocking puts only).", nil, ls)
-		r.mDrained = reg.Counter(buffer.MetricDrained, "Items delivered to a consumer after the buffer was sealed for drain.", ls)
-		r.mShed = reg.Counter(buffer.MetricShed, "Items discarded undelivered at shutdown (explicitly shed, not silently lost).", ls)
-	}
 	return r, nil
+}
+
+// spinBudget returns the spin phase's length on c: none when c
+// schedules its participants, because a spinning waiter keeps the turn
+// and nothing it waits for can happen until it parks.
+func spinBudget(c clock.Clock) int {
+	if _, ok := c.(clock.Registrar); ok {
+		return 0
+	}
+	return spins
 }
 
 // Name returns the buffer's system-wide unique name.
@@ -255,7 +250,7 @@ func (r *Ring) FailProducer(conn graph.ConnID) {
 		r.prodFailed++
 		if len(next) == 0 {
 			r.prodsDead.Store(true)
-			r.notEmpty.Broadcast()
+			r.notEmpty.Wake(r.cfg.Clock, -1)
 		}
 	}
 	r.mu.Unlock()
@@ -269,7 +264,7 @@ func (r *Ring) FailConsumer(conn graph.ConnID) {
 	if r.consumer.CompareAndSwap(int64(conn), noConn) {
 		r.consFailed++
 		r.consDead.Store(true)
-		r.notFull.Broadcast()
+		r.notFull.Wake(r.cfg.Clock, -1)
 	}
 	r.mu.Unlock()
 }
@@ -295,36 +290,47 @@ func (r *Ring) checkConsumer(conn graph.ConnID) error {
 func (r *Ring) accountPut(n int, bytes int64) {
 	r.puts.Add(int64(n))
 	live := r.liveBytes.Add(bytes)
-	if r.mPuts != nil {
-		r.mPuts.Add(int64(n))
-		r.mItemsHW.Max(int64(r.tail.Load() - r.head.Load()))
-		r.mBytesHW.Max(live)
+	if r.MPuts != nil {
+		r.MPuts.Add(int64(n))
+		r.MItemsHW.Max(int64(r.tail.Load() - r.head.Load()))
+		r.MBytesHW.Max(live)
 	}
 }
 
-// wakeConsumer wakes a parked consumer, if any: one atomic load on the
-// common (nobody-sleeping) path.
-func (r *Ring) wakeConsumer() {
-	if r.sleepCons.Load() > 0 {
+// wake readies every waiter parked on q, if any: one atomic load of its
+// sleeper count on the common (nobody-sleeping) path.
+func (r *Ring) wake(q *buffer.WaitQueue, sleepers *atomic.Int32) {
+	if sleepers.Load() > 0 {
 		r.mu.Lock()
-		r.notEmpty.Broadcast()
+		q.Wake(r.cfg.Clock, -1)
 		r.mu.Unlock()
 	}
 }
 
-// wakeProducers wakes parked producers, if any.
-func (r *Ring) wakeProducers() {
-	if r.sleepProd.Load() > 0 {
-		r.mu.Lock()
-		r.notFull.Broadcast()
-		r.mu.Unlock()
+// await spins, then parks on q, until cond holds. It returns the time
+// spent parked: zero, with no clock read, when the spin sufficed.
+func (r *Ring) await(q *buffer.WaitQueue, sleepers *atomic.Int32, cond func() bool) time.Duration {
+	for i := 0; i < r.spin; i++ {
+		if cond() {
+			return 0
+		}
+		runtime.Gosched()
 	}
+	start := r.cfg.Clock.Now()
+	r.mu.Lock()
+	sleepers.Add(1)
+	for !cond() {
+		q.Wait(r.cfg.Clock, &r.mu)
+	}
+	sleepers.Add(-1)
+	r.mu.Unlock()
+	return r.cfg.Clock.Now() - start
 }
 
 // parkProducer waits until the slot generation for position pos is free
-// (seq reaches pos), spinning first and then sleeping. It returns the
-// time spent in the parked phase and ErrPeerFailed when every consumer
-// has failed — with a dead audience no slot will ever free again.
+// (seq reaches pos). It returns the time spent parked, adding it to the
+// PutBlocked ledger, and ErrPeerFailed when every consumer has failed —
+// with a dead audience no slot will ever free again.
 //
 // The wake condition is seq >= pos, not equality: in MPSC mode pos can
 // go stale while this producer parks (another producer claims the freed
@@ -333,29 +339,13 @@ func (r *Ring) wakeProducers() {
 // back to the caller, which reloads the tail and retries.
 func (r *Ring) parkProducer(pos uint64) (time.Duration, error) {
 	s := &r.slots[pos&r.mask]
-	freed := func() bool {
+	d := r.await(&r.notFull, &r.sleepProd, func() bool {
 		return int64(s.seq.Load())-int64(pos) >= 0 || r.closed.Load() || r.sealed.Load() || r.consDead.Load()
-	}
-	for i := 0; i < spins; i++ {
-		if freed() {
-			if r.consDead.Load() {
-				return 0, fmt.Errorf("%w: all consumers of %q failed while producer blocked on capacity", buffer.ErrPeerFailed, r.cfg.Name)
-			}
-			return 0, nil
-		}
-		runtime.Gosched()
-	}
-	start := r.cfg.Clock.Now()
-	r.mu.Lock()
-	r.sleepProd.Add(1)
-	for !freed() {
-		r.notFull.Wait()
-	}
-	r.sleepProd.Add(-1)
-	r.mu.Unlock()
-	d := r.cfg.Clock.Now() - start
-	if r.mPutBlocked != nil && d > 0 {
-		r.mPutBlocked.Observe(d)
+	})
+	if d > 0 {
+		r.putBlockedNs.Add(int64(d))
+		r.putBlockedN.Add(1)
+		r.MPutBlocked.Observe(d)
 	}
 	if r.consDead.Load() {
 		return d, fmt.Errorf("%w: all consumers of %q failed while producer blocked on capacity", buffer.ErrPeerFailed, r.cfg.Name)
@@ -364,8 +354,8 @@ func (r *Ring) parkProducer(pos uint64) (time.Duration, error) {
 }
 
 // parkConsumer waits until the slot at the head position is published,
-// the ring closes, or every producer fails; it returns time spent in
-// the parked phase.
+// the ring closes, or every producer fails; it returns time spent
+// parked.
 // Like parkProducer, the wake condition is seq >= pos+1 rather than
 // equality: a concurrent Drain can pop the slot this consumer parked
 // on (recycling it a full lap ahead), after which equality would never
@@ -373,24 +363,9 @@ func (r *Ring) parkProducer(pos uint64) (time.Duration, error) {
 func (r *Ring) parkConsumer() time.Duration {
 	pos := r.head.Load()
 	s := &r.slots[pos&r.mask]
-	ready := func() bool {
+	return r.await(&r.notEmpty, &r.sleepCons, func() bool {
 		return int64(s.seq.Load())-int64(pos+1) >= 0 || r.closed.Load() || r.sealed.Load() || r.prodsDead.Load()
-	}
-	for i := 0; i < spins; i++ {
-		if ready() {
-			return 0
-		}
-		runtime.Gosched()
-	}
-	start := r.cfg.Clock.Now()
-	r.mu.Lock()
-	r.sleepCons.Add(1)
-	for !ready() {
-		r.notEmpty.Wait()
-	}
-	r.sleepCons.Add(-1)
-	r.mu.Unlock()
-	return r.cfg.Clock.Now() - start
+	})
 }
 
 // insert writes an item into the slot claimed at pos and publishes it.
@@ -403,7 +378,7 @@ func (r *Ring) insert(pos uint64, it *buffer.Item) {
 	size := it.Size
 	r.cfg.Pool.Recycle(it)
 	r.accountPut(1, size)
-	r.wakeConsumer()
+	r.wake(&r.notEmpty, &r.sleepCons)
 }
 
 // Put inserts an item, blocking while the ring is full: a PutBatch of
@@ -513,7 +488,7 @@ func (r *Ring) PutBatch(conn graph.ConnID, items []*buffer.Item) (int, time.Dura
 		// recycles in one pool round.
 		r.cfg.Pool.RecycleN(items[applied : applied+k])
 		r.accountPut(k, bytes)
-		r.wakeConsumer()
+		r.wake(&r.notEmpty, &r.sleepCons)
 		applied += k
 	}
 	return applied, blocked, nil
@@ -559,10 +534,8 @@ func (r *Ring) popN(dst []buffer.GetResult) int {
 		}
 		r.frees.Add(int64(n))
 		r.liveBytes.Add(-bytes)
-		if r.mFrees != nil {
-			r.mFrees.Add(int64(n))
-		}
-		r.wakeProducers()
+		r.MFrees.Add(int64(n))
+		r.wake(&r.notFull, &r.sleepProd)
 		return n
 	}
 }
@@ -634,9 +607,7 @@ func (r *Ring) pop(conn graph.ConnID, dst []buffer.GetResult, block bool) (int, 
 func (r *Ring) noteDelivered(n int) {
 	if r.sealed.Load() && n > 0 {
 		r.drainedN.Add(int64(n))
-		if r.mDrained != nil {
-			r.mDrained.Add(int64(n))
-		}
+		r.MDrained.Add(int64(n))
 	}
 }
 
@@ -658,8 +629,8 @@ func (r *Ring) Seal() {
 		return
 	}
 	r.mu.Lock()
-	r.notEmpty.Broadcast()
-	r.notFull.Broadcast()
+	r.notEmpty.Wake(r.cfg.Clock, -1)
+	r.notFull.Wake(r.cfg.Clock, -1)
 	r.mu.Unlock()
 }
 
@@ -682,8 +653,8 @@ func (r *Ring) Close() {
 		return
 	}
 	r.mu.Lock()
-	r.notEmpty.Broadcast()
-	r.notFull.Broadcast()
+	r.notEmpty.Wake(r.cfg.Clock, -1)
+	r.notFull.Wake(r.cfg.Clock, -1)
 	r.mu.Unlock()
 }
 
@@ -708,9 +679,7 @@ func (r *Ring) Drain() int {
 	}
 	if total > 0 {
 		r.shedN.Add(int64(total))
-		if r.mShed != nil {
-			r.mShed.Add(int64(total))
-		}
+		r.MShed.Add(int64(total))
 	}
 	return total
 }
@@ -725,12 +694,9 @@ func (r *Ring) Stats() (puts, frees int64) {
 	return r.puts.Load(), r.frees.Load()
 }
 
-// HighWater returns the high-water marks of live items and bytes since
-// creation (zeros when metrics are disabled), implementing
-// buffer.HighWaterer like the Base-backed backends.
-func (r *Ring) HighWater() (items, bytes int64) {
-	if r.mItemsHW == nil {
-		return 0, 0
-	}
-	return r.mItemsHW.Value(), r.mBytesHW.Value()
+// PutBlocked returns the cumulative time producers spent parked on a
+// full ring and the number of parks that waited. Implements
+// buffer.PutBlocker.
+func (r *Ring) PutBlocked() (time.Duration, int64) {
+	return time.Duration(r.putBlockedNs.Load()), r.putBlockedN.Load()
 }

@@ -95,9 +95,9 @@ func TestCtxBatchOverBackends(t *testing.T) {
 }
 
 // TestQueueAutoUpgradeToRing pins the materialization-time backend swap:
-// a bounded power-of-two queue with one FIFO consumer under a real clock
-// silently becomes a ring, and every disqualifier (unbounded, non-power-
-// of-two, fan-out, discrete-event clock) leaves the queue as declared.
+// a bounded power-of-two queue with one FIFO consumer silently becomes a
+// ring on any clock, and every disqualifier (unbounded, non-power-of-two,
+// fan-out) leaves the queue as declared.
 func TestQueueAutoUpgradeToRing(t *testing.T) {
 	pipeline := func(rt *Runtime, ref *BufferRef, consumers int) {
 		prod := rt.MustAddThread("prod", 0, func(ctx *Ctx) error { <-ctx.Done(); return nil })
@@ -153,17 +153,50 @@ func TestQueueAutoUpgradeToRing(t *testing.T) {
 		}
 	})
 	t.Run("virtual-clock", func(t *testing.T) {
+		// The ring parks through the clock, so the upgrade holds on the
+		// discrete-event clock too. The consumer is slower than the
+		// producer: the producer parks on the full ring, and the
+		// snapshot's PutBlocked sensor must see it.
+		const n = 200
 		rt := New(Options{Clock: clock.NewVirtual(), ARU: core.PolicyOff()})
 		q := rt.MustAddQueue("Q", 0, WithCapacity(64))
-		prod := rt.MustAddThread("prod", 0, func(ctx *Ctx) error { return nil })
-		cons := rt.MustAddThread("cons", 0, func(ctx *Ctx) error { return nil })
+		prod := rt.MustAddThread("prod", 0, func(ctx *Ctx) error {
+			for ts := vt.Timestamp(1); ts <= n; ts++ {
+				if err := ctx.Put(ctx.Outs()[0], ts, nil, 8); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		var got atomic.Int64
+		cons := rt.MustAddThread("cons", 0, func(ctx *Ctx) error {
+			for ts := vt.Timestamp(1); ts <= n; ts++ {
+				m, err := ctx.Get(ctx.Ins()[0])
+				if err != nil {
+					return err
+				}
+				if m.TS != ts {
+					return fmt.Errorf("got ts %v, want %v", m.TS, ts)
+				}
+				got.Add(1)
+				ctx.Compute(time.Millisecond)
+			}
+			return nil
+		})
 		prod.MustOutput(q)
 		cons.MustInput(q)
-		if err := rt.RunFor(10 * time.Millisecond); err != nil {
+		if err := rt.RunFor(time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if q.Backend() != "queue" {
-			t.Fatalf("backend = %q, want queue (ring spins cannot advance virtual time)", q.Backend())
+		if q.Backend() != "ring" {
+			t.Fatalf("backend = %q, want ring", q.Backend())
+		}
+		if got.Load() != n {
+			t.Fatalf("consumer got %d/%d items through the ring", got.Load(), n)
+		}
+		bs := rt.Snapshot().Buffers
+		if len(bs) != 1 || bs[0].PutBlockedCount == 0 || bs[0].PutBlocked <= 0 {
+			t.Fatalf("snapshot buffers %+v: want Q with PutBlocked > 0, the producer parked on a full ring", bs)
 		}
 	})
 	t.Run("explicit-ring", func(t *testing.T) {

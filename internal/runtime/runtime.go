@@ -339,10 +339,9 @@ func (rt *Runtime) MustAddQueue(name string, host int, qopts ...QueueOption) *Qu
 
 // AddRing declares a lock-free ring buffer placed on the given host: the
 // high-throughput FIFO backend. A positive capacity is required
-// (WithQueueCapacity; rounded up to a power of two) and the runtime must
-// use a real clock — the ring's spin-then-park waits cannot participate
-// in a discrete-event clock. Most applications never call this: Start
-// upgrades eligible bounded queues to rings automatically.
+// (WithQueueCapacity; rounded up to a power of two). Most applications
+// never call this: Start upgrades eligible bounded queues to rings
+// automatically.
 func (rt *Runtime) AddRing(name string, host int, qopts ...QueueOption) (*QueueRef, error) {
 	return rt.addBuffer(graph.KindQueue, "ring", name, host, qopts)
 }
@@ -453,8 +452,7 @@ func (f *runtimeFeedback) ObserveBufferSummary(s core.STP) {
 // with a power-of-two capacity (the ring rounds sizes up, which would
 // loosen a non-power-of-two bound's blocking behaviour), exactly one
 // consumer connection with the default window (the ring is SPSC/MPSC),
-// a real clock (the ring's spin waits cannot participate in a
-// discrete-event clock), and the ring backend registered.
+// and the ring backend registered.
 func (rt *Runtime) ringEligibleLocked(n *graph.Node, ref *BufferRef, windows map[graph.ConnID]int) bool {
 	if ref.backend != "queue" {
 		return false
@@ -463,9 +461,6 @@ func (rt *Runtime) ringEligibleLocked(n *graph.Node, ref *BufferRef, windows map
 		return false
 	}
 	if len(n.Out) != 1 || windows[n.Out[0]] > 1 {
-		return false
-	}
-	if _, isReg := rt.clk.(clock.Registrar); isReg {
 		return false
 	}
 	_, ok := buffer.Lookup("ring")

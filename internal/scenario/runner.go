@@ -35,9 +35,9 @@ type RunConfig struct {
 	Warmup time.Duration
 	// Clock overrides the run's clock (default: a fresh discrete-event
 	// clock.Virtual). Cells pinned in BENCH_scenarios.json always use
-	// the default; a real clock is for smoke runs that need
-	// wall-clock-only machinery (ring auto-upgrade, remote edges) and
-	// gives up bit-reproducibility.
+	// the default; a real clock is for smoke runs over remote edges,
+	// which need wall-clock networking, and gives up
+	// bit-reproducibility.
 	Clock clock.Clock
 	// Drain ends the run with a graceful Runtime.Drain at 3/4 of the
 	// cell duration instead of running to the stop deadline: sources

@@ -132,7 +132,7 @@ type BufferSpec struct {
 	Index int
 	// Backend is "channel" (unbounded, latest-discipline) or "queue"
 	// (bounded FIFO; power-of-two capacities are ring-eligible and
-	// auto-upgrade under a real clock). Hand-built specs may also use
+	// auto-upgrade). Hand-built specs may also use
 	// "remote" (a wire-backed edge; Generate never draws it because it
 	// needs a live server and a real clock).
 	Backend string
@@ -263,7 +263,7 @@ func (b *builder) addBuffer() int {
 		if r.Intn(2) == 0 {
 			// Round half the queues up to a power of two: exactly the
 			// shape that auto-upgrades to the lock-free ring backend
-			// when run under a real clock with a single consumer.
+			// when run with a single consumer.
 			bs.Capacity = nextPow2(bs.Capacity)
 		}
 	}

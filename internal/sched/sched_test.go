@@ -119,6 +119,13 @@ func TestElasticConservationOracle(t *testing.T) {
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// Both bounded single-consumer queues materialize as rings, so the
+	// oracle covers the ring's parks on the virtual clock.
+	for _, q := range []*runtime.BufferRef{qin, qout} {
+		if q.Backend() != "ring" {
+			t.Fatalf("%s materialized as %q, want ring", q.Name(), q.Backend())
+		}
+	}
 	// Wait (in real time; virtual time free-runs) for the full
 	// lifecycle: every item delivered AND the replica pool drained back
 	// to zero by the light phase.

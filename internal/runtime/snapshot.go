@@ -57,7 +57,7 @@ type BufferStatus struct {
 	// PutBlocked and PutBlockedCount accumulate producer
 	// capacity-blocking on the buffer — the elastic scheduler's
 	// backlog-pressure sensor. Zero for backends without inline
-	// accounting (remote endpoints, the lock-free ring).
+	// accounting (remote endpoints).
 	PutBlocked      time.Duration
 	PutBlockedCount int64
 }

@@ -12,9 +12,10 @@ import (
 // metric snapshots. This is the contract the BENCH_scenarios.json pin
 // and the whole regression net stand on, so it runs across topologies,
 // shapes, estimators, and failure injection — and CI repeats it under
-// the race detector (-race -count=2 in the chaos job), where any
-// schedule-dependence in the phase-grid runner would surface as a
-// diff.
+// the race detector (-race -count=2 in the chaos job) and at
+// GOMAXPROCS=8, where any wake order the virtual clock does not fix
+// (a body blocking on something other than the clock) would surface as
+// a diff.
 func TestDeterministicReruns(t *testing.T) {
 	type cell struct {
 		topo, shape, est string

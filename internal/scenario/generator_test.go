@@ -15,10 +15,7 @@ func validateSpec(t *testing.T, s *Spec) {
 		t.Fatalf("empty spec: %d stages, %d buffers", len(s.Stages), len(s.Buffers))
 	}
 	sources, sinks := 0, 0
-	for i, st := range s.Stages {
-		if st.Index != i {
-			t.Fatalf("stage %d has index %d", i, st.Index)
-		}
+	for _, st := range s.Stages {
 		switch st.Kind {
 		case "source":
 			sources++

@@ -5,13 +5,11 @@ import (
 	"time"
 )
 
-// Grid is the scenario time quantum. Every sleep a scenario body takes
-// — compute costs, pacing pads, poll intervals, restart backoffs — is a
-// whole multiple of Grid, while each stage is offset onto its own
-// sub-Grid phase (a few nanoseconds). Together these give the
-// determinism contract (DESIGN.md §4i): no two stages ever act at the
-// same virtual instant, so a run is a totally ordered event sequence
-// and every metric is bit-reproducible from the seed.
+// Grid is the scenario generator's time quantum: compute costs, load
+// shape periods, source pacing pads and restart backoffs are whole
+// multiples of it. Determinism does not rest on it — the virtual clock
+// orders every wake (DESIGN.md §4i) — but round durations keep the
+// pinned latencies readable.
 const Grid = time.Millisecond
 
 // QuantizeUp rounds d up to the next Grid multiple (minimum one Grid).

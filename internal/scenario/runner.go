@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/backoff"
-	"repro/internal/buffer"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -34,10 +33,10 @@ type RunConfig struct {
 	// Warmup is excluded from the analysis window (default Duration/8).
 	Warmup time.Duration
 	// Clock overrides the run's clock (default: a fresh discrete-event
-	// clock.Virtual). Cells pinned in BENCH_scenarios.json always use
-	// the default; a real clock is for smoke runs over remote edges,
-	// which need wall-clock networking, and gives up
-	// bit-reproducibility.
+	// clock.Virtual, whose wake order makes a cell bit-reproducible).
+	// Cells pinned in BENCH_scenarios.json always use the default; a
+	// real clock is for smoke runs over remote edges, which need
+	// wall-clock networking, and gives up bit-reproducibility.
 	Clock clock.Clock
 	// Drain ends the run with a graceful Runtime.Drain at 3/4 of the
 	// cell duration instead of running to the stop deadline: sources
@@ -62,11 +61,10 @@ type RunConfig struct {
 // marshal to byte-identical JSON — the determinism oracle test and the
 // BENCH_scenarios.json pin both lean on that.
 //
-// PeakBytes is deliberately absent: footprint peaks depend on the
-// ordering of equal-instant alloc/free deltas, which is the one
-// analysis output that is not tie-order invariant. Every field below
-// is either an event count or an integral/quantile over a totally
-// ordered event sequence.
+// Every field below is an event count or an integral/quantile over the
+// run's event sequence. The footprint peak is tie-order invariant too
+// (the trace analyzer folds equal-instant alloc/free deltas into one
+// step), but it is not part of the pinned record.
 type CellMetrics struct {
 	Topology  string `json:"topology"`
 	Shape     string `json:"shape"`
@@ -97,8 +95,8 @@ type CellMetrics struct {
 	ItemsSuccessful int `json:"items_successful"`
 	ItemsWasted     int `json:"items_wasted"`
 
-	PutWaits     int     `json:"put_waits"`       // bounded-buffer puts measured
-	PutWaitP99Ms float64 `json:"put_wait_p99_ms"` // blocked-put p99 (occupancy-gated wait)
+	PutWaits     int     `json:"put_waits"`       // puts that landed
+	PutWaitP99Ms float64 `json:"put_wait_p99_ms"` // p99 of their park on capacity (plus the round trip on remote edges)
 
 	Restarts      int `json:"restarts"`       // supervised restarts consumed
 	MetricsSeries int `json:"metrics_series"` // live registry series (0 when metrics off)
@@ -120,66 +118,39 @@ type CellMetrics struct {
 	ElasticReplicasEnd int   `json:"elastic_replicas_end,omitempty"` // live replicas at the final tick
 }
 
-// errDeadline makes a stage body exit cleanly when its per-stage
-// deadline passes while it is gated on a full buffer.
-var errDeadline = errors.New("scenario: stage deadline reached")
-
 // runner holds the shared execution state for one cell.
 type runner struct {
-	spec     *Spec
-	clk      clock.Clock
-	rt       *rt.Runtime
-	bufRefs  []*rt.BufferRef
-	stages   []*stageRun
-	total    time.Duration
-	deadline time.Duration // base stage deadline (phase is added per stage)
+	spec   *Spec
+	clk    clock.Clock
+	rt     *rt.Runtime
+	stages []*stageRun
+	total  time.Duration
 }
 
 // stageRun is one stage's mutable run state. It survives supervised
-// restarts (the body closure captures it), which is what keeps the
-// injected-failure schedule and the phase discipline stable across a
-// panic: the initial phase offset runs exactly once per run, and the
-// iteration counter keeps counting so a FailAt panic fires once.
+// restarts (the body closure captures it), so the iteration counter
+// keeps counting across a panic and a FailAt panic fires once.
 //
 // Under RunConfig.Elastic the same closure also runs in scheduler-
 // spawned replica incarnations concurrently with the primary, so the
 // counters are atomic and the wait samples are mutex-guarded. The
-// atomics cost nothing behaviorally in the single-threaded cells (the
-// historical pins stay byte-identical), and the quantile over
-// putWaitNs sorts its input, so replica-interleaved append order
-// cannot move a pinned number.
+// quantile over putWaitNs sorts its input, so replica-interleaved
+// append order cannot move a pinned number.
 type stageRun struct {
 	r      *runner
 	spec   *StageSpec
 	thread *rt.Thread
-	phase  time.Duration
-	phased atomic.Bool
 	iter   atomic.Int64
 	prod   atomic.Int64
+	// cut records that the stage's last put returned ErrShutdown: Stop
+	// interrupted it, and over a remote edge it may have landed anyway.
+	cut atomic.Bool
 
-	mu        sync.Mutex      // guards outBufs resolution and putWaitNs
-	outBufs   []buffer.Buffer // lazily resolved (post-Start)
-	outCaps   []int
+	mu        sync.Mutex // guards putWaitNs
 	putWaitNs []float64
 }
 
 func (s *stageRun) now() time.Duration { return s.r.clk.Now() }
-
-// deadline is the stage's private exit instant: the shared base plus
-// the stage phase, so the comparison instants stay on the stage's own
-// grid residue and every stage exits before the runner's stop wakes.
-func (s *stageRun) stageDeadline() time.Duration { return s.r.deadline + s.phase }
-
-// enter runs once per body invocation: the first invocation sleeps the
-// stage onto its unique sub-grid phase; restarts (and elastic replica
-// incarnations, which join an already-phased stage) resume already
-// phased (the restart backoff schedule is a whole number of grid
-// quanta, so the residue survives the panic).
-func (s *stageRun) enter(ctx *rt.Ctx) {
-	if s.phased.CompareAndSwap(false, true) {
-		ctx.Idle(s.phase)
-	}
-}
 
 // checkFail fires the injected failure exactly once, at the drawn
 // local iteration (iter is the caller's freshly incremented count).
@@ -189,65 +160,37 @@ func (s *stageRun) checkFail(iter int64) {
 	}
 }
 
-// put produces one item, gating on occupancy for bounded buffers so
-// the runtime-level Put never blocks (a block would hand wakeup order
-// to the scheduler; the gate keeps the wait on the stage's own grid
-// and measures it as the blocked-put sample).
-func (s *stageRun) put(ctx *rt.Ctx, outIdx int, p *rt.OutPort, ts vt.Timestamp, size int64) error {
-	wait := time.Duration(0)
-	if cap := s.outCaps[outIdx]; cap > 0 {
-		b := s.outBuf(outIdx)
-		start := s.now()
-		for {
-			items, _ := b.Occupancy()
-			if items < cap {
-				break
-			}
-			if s.now() >= s.stageDeadline() {
-				return errDeadline
-			}
-			ctx.Idle(Grid)
-		}
-		wait = s.now() - start
+// put produces one item and, if it landed, samples how long the put
+// parked on a full bounded buffer (zero for channels, which never block
+// a put). A failed put is not sampled: its wait ended in the failure,
+// not in capacity.
+func (s *stageRun) put(ctx *rt.Ctx, p *rt.OutPort, ts vt.Timestamp, size int64) error {
+	start := s.now()
+	if err := informational(ctx.Put(p, ts, nil, size)); err != nil {
+		s.cut.Store(errors.Is(err, rt.ErrShutdown))
+		return err
 	}
+	wait := s.now() - start
 	s.mu.Lock()
 	s.putWaitNs = append(s.putWaitNs, float64(wait))
 	s.mu.Unlock()
-	err := ctx.Put(p, ts, nil, size)
+	return nil
+}
+
+// informational folds the remote layer's ErrReattached into success:
+// the wire dropped mid-operation and the item went through a fresh
+// session (remote edges under chaos).
+func informational(err error) error {
 	if errors.Is(err, rt.ErrReattached) {
-		// Informational: the wire dropped mid-put and the item was
-		// replayed through a fresh session (remote edges under chaos).
-		err = nil
+		return nil
 	}
 	return err
 }
 
-// outBuf resolves the outIdx-th output buffer on first use (the ring
-// handle only exists post-Start); the lock makes the resolution safe
-// when replica incarnations race to the first put.
-func (s *stageRun) outBuf(outIdx int) buffer.Buffer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.outBufs[outIdx] == nil {
-		s.outBufs[outIdx] = s.r.rt.Buffer(s.r.bufRefs[s.spec.Outputs[outIdx]])
-	}
-	return s.outBufs[outIdx]
-}
-
-// tryGet polls an input without blocking, folding the remote layer's
-// informational reattach into "nothing this wake".
-func tryGet(ctx *rt.Ctx, in *rt.InPort) (rt.Msg, bool, error) {
-	msg, ok, err := ctx.TryGetLatest(in)
-	if errors.Is(err, rt.ErrReattached) {
-		return rt.Msg{}, false, nil
-	}
-	return msg, ok, err
-}
-
-// bodyErr maps clean-shutdown and deadline exits to nil; anything else
-// is a real failure and goes to the supervisor.
+// bodyErr maps a clean-shutdown exit to nil; anything else is a real
+// failure and goes to the supervisor.
 func bodyErr(err error) error {
-	if err == nil || errors.Is(err, rt.ErrShutdown) || errors.Is(err, errDeadline) {
+	if errors.Is(err, rt.ErrShutdown) {
 		return nil
 	}
 	return err
@@ -255,22 +198,19 @@ func bodyErr(err error) error {
 
 // sourceBody offers load on the cell's shape: compute the acquisition
 // cost, put, then pad the iteration to max(shape period, controller
-// target) before Sync — the pad is what makes ARU throttling happen at
-// a grid instant instead of inside Throttle.Pace, keeping the run
-// totally ordered while exercising the real control loop.
+// target) before Sync, so Sync's own pace sleeps zero. Pacing through
+// Sync alone would move source wakes off whole Grid quanta, and with
+// them the matrix's AIMD ≤ raw drops differential fails on 8
+// diamond/fanout pairs.
 func (s *stageRun) sourceBody(ctx *rt.Ctx) error {
-	s.enter(ctx)
 	out := ctx.Outs()[0]
 	base := s.r.spec.Params.BasePeriod
 	for !ctx.Stopped() {
 		start := s.now()
-		if start >= s.stageDeadline() {
-			return nil
-		}
 		n := s.iter.Add(1)
 		s.checkFail(n)
 		ctx.Compute(s.spec.Cost)
-		if err := s.put(ctx, 0, out, vt.Timestamp(n), s.spec.ItemBytes); err != nil {
+		if err := s.put(ctx, out, vt.Timestamp(n), s.spec.ItemBytes); err != nil {
 			return bodyErr(err)
 		}
 		s.prod.Add(1)
@@ -280,39 +220,24 @@ func (s *stageRun) sourceBody(ctx *rt.Ctx) error {
 				span = q
 			}
 		}
-		wake := start + span
-		if dl := s.stageDeadline(); wake > dl {
-			wake = dl
-		}
-		if now := s.now(); wake > now {
-			ctx.Idle(wake - now)
-		}
+		ctx.Idle(start + span - s.now())
 		ctx.Sync()
 	}
 	return nil
 }
 
-// relayBody polls its input (TryGet keeps the stage unblocked and on
-// its grid residue), pays the compute cost, and forwards.
+// relayBody blocks for its input, pays the compute cost, and forwards.
 func (s *stageRun) relayBody(ctx *rt.Ctx) error {
-	s.enter(ctx)
 	in, out := ctx.Ins()[0], ctx.Outs()[0]
 	for !ctx.Stopped() {
-		if s.now() >= s.stageDeadline() {
-			return nil
-		}
-		msg, ok, err := tryGet(ctx, in)
-		if err != nil {
+		msg, err := ctx.Get(in)
+		if err = informational(err); err != nil {
 			return bodyErr(err)
-		}
-		if !ok {
-			ctx.Idle(Grid)
-			continue
 		}
 		n := s.iter.Add(1)
 		s.checkFail(n)
 		ctx.Compute(s.spec.Cost)
-		if err := s.put(ctx, 0, out, msg.TS, s.spec.ItemBytes); err != nil {
+		if err := s.put(ctx, out, msg.TS, s.spec.ItemBytes); err != nil {
 			return bodyErr(err)
 		}
 		ctx.Sync()
@@ -320,34 +245,27 @@ func (s *stageRun) relayBody(ctx *rt.Ctx) error {
 	return nil
 }
 
-// joinBody drains at most one item per input per wake and emits one
-// joined item. The output carries the join's own monotonic timestamp:
-// sibling branches legally deliver the same upstream timestamp (a
-// channel fan-out broadcasts), so forwarding the max would collide on
-// the output buffer's unique-timestamp rule.
+// joinBody blocks on its first input, then takes whatever is fresh on
+// the others without waiting for them, and emits one joined item. The
+// output carries the join's own monotonic timestamp: sibling branches
+// legally deliver the same upstream timestamp (a channel fan-out
+// broadcasts), so forwarding the max would collide on the output
+// buffer's unique-timestamp rule.
 func (s *stageRun) joinBody(ctx *rt.Ctx) error {
-	s.enter(ctx)
 	ins, out := ctx.Ins(), ctx.Outs()[0]
 	for !ctx.Stopped() {
-		if s.now() >= s.stageDeadline() {
-			return nil
+		if _, err := ctx.Get(ins[0]); informational(err) != nil {
+			return bodyErr(err)
 		}
-		got := 0
-		for _, in := range ins {
-			if _, ok, err := tryGet(ctx, in); err != nil {
+		for _, in := range ins[1:] {
+			if _, _, err := ctx.TryGetLatest(in); informational(err) != nil {
 				return bodyErr(err)
-			} else if ok {
-				got++
 			}
-		}
-		if got == 0 {
-			ctx.Idle(Grid)
-			continue
 		}
 		n := s.iter.Add(1)
 		s.checkFail(n)
 		ctx.Compute(s.spec.Cost)
-		if err := s.put(ctx, 0, out, vt.Timestamp(n), s.spec.ItemBytes); err != nil {
+		if err := s.put(ctx, out, vt.Timestamp(n), s.spec.ItemBytes); err != nil {
 			return bodyErr(err)
 		}
 		ctx.Sync()
@@ -358,19 +276,10 @@ func (s *stageRun) joinBody(ctx *rt.Ctx) error {
 // sinkBody consumes, pays the display cost, and emits the pipeline
 // output (the trace's latency/throughput anchor).
 func (s *stageRun) sinkBody(ctx *rt.Ctx) error {
-	s.enter(ctx)
 	in := ctx.Ins()[0]
 	for !ctx.Stopped() {
-		if s.now() >= s.stageDeadline() {
-			return nil
-		}
-		_, ok, err := tryGet(ctx, in)
-		if err != nil {
+		if _, err := ctx.Get(in); informational(err) != nil {
 			return bodyErr(err)
-		}
-		if !ok {
-			ctx.Idle(Grid)
-			continue
 		}
 		n := s.iter.Add(1)
 		s.checkFail(n)
@@ -382,27 +291,14 @@ func (s *stageRun) sinkBody(ctx *rt.Ctx) error {
 }
 
 // failurePolicy is the deterministic supervision schedule for injected
-// panics: grid-multiple backoff delays (Jitter −1 disables the jitter
-// term), so a restarted stage resumes on its own phase residue.
+// panics: grid-multiple backoff delays with the jitter term disabled
+// (Jitter −1), so a restart schedule is a function of the spec.
 func failurePolicy() rt.RestartPolicy {
 	return rt.RestartPolicy{
 		Backoff:     backoff.Backoff{Base: 4 * Grid, Cap: 16 * Grid, Factor: 2, Jitter: -1},
 		MaxRestarts: 3,
 		Seed:        1,
 	}
-}
-
-// baseDeadline is the shared stage-exit deadline for a cell: stages
-// (and the elastic scheduler's tick horizon) stop strictly before the
-// runner's stop instant so the shutdown sequence never races stage
-// wakeups. The margin covers the largest compute draw plus gate polls
-// and restart backoffs.
-func baseDeadline(spec *Spec) time.Duration {
-	d := spec.Params.Duration - (QuantizeUp(spec.Params.CostMax) + 32*Grid)
-	if d < Grid {
-		d = Grid
-	}
-	return d
 }
 
 // build declares the spec's buffers and threads into a fresh runtime.
@@ -412,10 +308,9 @@ func build(spec *Spec, opts rt.Options) (*runner, error) {
 		clk:   opts.Clock,
 		total: spec.Params.Duration,
 	}
-	r.deadline = baseDeadline(spec)
 	r.rt = rt.New(opts)
 
-	r.bufRefs = make([]*rt.BufferRef, len(spec.Buffers))
+	bufRefs := make([]*rt.BufferRef, len(spec.Buffers))
 	for i := range spec.Buffers {
 		b := &spec.Buffers[i]
 		switch b.Backend {
@@ -424,13 +319,13 @@ func build(spec *Spec, opts rt.Options) (*runner, error) {
 			if err != nil {
 				return nil, err
 			}
-			r.bufRefs[i] = ref
+			bufRefs[i] = ref
 		case "queue":
 			ref, err := r.rt.AddQueue(b.Name, 0, rt.WithQueueCapacity(b.Capacity))
 			if err != nil {
 				return nil, err
 			}
-			r.bufRefs[i] = ref
+			bufRefs[i] = ref
 		case "remote":
 			// Wire-backed edge: requires a real clock and a live server
 			// (chaos composition, never part of the pinned matrix).
@@ -438,7 +333,7 @@ func build(spec *Spec, opts rt.Options) (*runner, error) {
 			if err != nil {
 				return nil, err
 			}
-			r.bufRefs[i] = ref
+			bufRefs[i] = ref
 		default:
 			return nil, fmt.Errorf("scenario: buffer %q has unknown backend %q", b.Name, b.Backend)
 		}
@@ -447,16 +342,7 @@ func build(spec *Spec, opts rt.Options) (*runner, error) {
 	r.stages = make([]*stageRun, len(spec.Stages))
 	for i := range spec.Stages {
 		st := &spec.Stages[i]
-		s := &stageRun{
-			r:       r,
-			spec:    st,
-			phase:   time.Duration(st.Index + 1), // unique sub-grid residue
-			outBufs: make([]buffer.Buffer, len(st.Outputs)),
-			outCaps: make([]int, len(st.Outputs)),
-		}
-		for k, bi := range st.Outputs {
-			s.outCaps[k] = spec.Buffers[bi].Capacity
-		}
+		s := &stageRun{r: r, spec: st}
 		var body rt.Body
 		switch st.Kind {
 		case "source":
@@ -480,7 +366,7 @@ func build(spec *Spec, opts rt.Options) (*runner, error) {
 		}
 		s.thread = th
 		for _, bi := range st.Inputs {
-			ref := r.bufRefs[bi]
+			ref := bufRefs[bi]
 			if spec.Buffers[bi].Backend == "channel" && st.Window > 1 {
 				if _, err := th.InputWindow(ref, st.Window); err != nil {
 					return nil, err
@@ -490,7 +376,7 @@ func build(spec *Spec, opts rt.Options) (*runner, error) {
 			}
 		}
 		for _, bi := range st.Outputs {
-			if _, err := th.Output(r.bufRefs[bi]); err != nil {
+			if _, err := th.Output(bufRefs[bi]); err != nil {
 				return nil, err
 			}
 		}
@@ -536,12 +422,6 @@ func elasticSchedConfig(spec *Spec) sched.Config {
 	return sched.Config{
 		TargetPeriod: QuantizeUp(spec.Params.CostMax / 2),
 		Stages:       relays,
-		// Ticks stop at the stage-exit deadline: a control tick landing
-		// exactly on the stop instant would tie with the shutdown on the
-		// virtual clock, and the loser of that tie is the one
-		// scheduler-dependent outcome in an otherwise totally ordered
-		// run. Inside the deadline every tick instant is unique.
-		Horizon: baseDeadline(spec),
 	}
 }
 
@@ -549,6 +429,13 @@ func elasticSchedConfig(spec *Spec) sched.Config {
 // discrete-event clock, run it to completion, and reduce the trace to
 // CellMetrics. Same spec + same config → byte-identical metrics.
 func Run(spec *Spec, cfg RunConfig) (*CellMetrics, error) {
+	cm, _, err := run(spec, cfg)
+	return cm, err
+}
+
+// run is Run that also returns the stopped runner, whose runtime still
+// answers Snapshot.
+func run(spec *Spec, cfg RunConfig) (*CellMetrics, *runner, error) {
 	est := cfg.Estimator
 	if est == "" {
 		est = "raw"
@@ -559,7 +446,7 @@ func Run(spec *Spec, cfg RunConfig) (*CellMetrics, error) {
 	case "aimd":
 		policy = policy.WithEstimator(core.AIMDFactory(scenarioAIMD()))
 	default:
-		return nil, fmt.Errorf("scenario: unknown estimator %q", est)
+		return nil, nil, fmt.Errorf("scenario: unknown estimator %q", est)
 	}
 
 	var reg *metrics.Registry
@@ -578,21 +465,20 @@ func Run(spec *Spec, cfg RunConfig) (*CellMetrics, error) {
 		Recorder:    rec,
 		ARU:         policy,
 		Metrics:     reg,
-		SampleEvery: -1, // no background sampler: nothing off-grid runs
+		SampleEvery: -1, // no background sampler: only the cell's stages run
 	}
 	if cfg.Elastic {
 		opts.ControlLoops = append(opts.ControlLoops, sched.Loop(elasticSchedConfig(spec)))
 	}
 	r, err := build(spec, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var drainRep rt.DrainReport
 	if cfg.Drain {
 		// Run 3/4 of the cell, then drain gracefully: sources quiesce
-		// and the live relays/sinks flush the backlog (their own stage
-		// deadlines lie beyond the drain instant). The drain deadline is
-		// the full cell duration — generous, so a correct flush is
+		// and the relays/sinks flush the backlog. The drain deadline
+		// is the full cell duration — generous, so a correct flush is
 		// always Clean and a non-clean drain is a regression.
 		// The caller is a participant from before Start until the drain
 		// has stopped the runtime, as RunFor's is.
@@ -601,7 +487,7 @@ func Run(spec *Spec, cfg RunConfig) (*CellMetrics, error) {
 			reg.Add(1)
 		}
 		if err := r.rt.Start(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		clk.Sleep(QuantizeUp(3 * r.total / 4))
 		drainRep = r.rt.Drain(r.total)
@@ -609,22 +495,22 @@ func Run(spec *Spec, cfg RunConfig) (*CellMetrics, error) {
 			reg.Add(-1)
 		}
 		if err := r.rt.Wait(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else if err := r.rt.RunFor(r.total); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	warmup := cfg.Warmup
 	if warmup <= 0 {
 		warmup = QuantizeUp(r.total / 8)
 	}
-	if warmup >= r.deadline {
+	if warmup >= r.total {
 		warmup = 0
 	}
 	a, err := trace.Analyze(rec, trace.AnalyzeOptions{From: warmup, To: r.total})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	cm := &CellMetrics{
@@ -691,7 +577,7 @@ func Run(spec *Spec, cfg RunConfig) (*CellMetrics, error) {
 		cm.DrainClean = drainRep.Clean
 		cm.DrainMs = ms(drainRep.Duration)
 	}
-	return cm, nil
+	return cm, r, nil
 }
 
 // registrySeries counts the exposition series the cell's run created —

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
+	rt "repro/internal/runtime"
 )
 
 // runCell generates and runs one cell, failing the test on any error.
@@ -61,16 +64,51 @@ func TestRunMatrixSmoke(t *testing.T) {
 }
 
 func TestRunBoundedQueueMeasuresPutWaits(t *testing.T) {
-	// Tight queues and an overloaded relay: some puts must gate.
-	p := DefaultParams(3, "chain", "onoff")
+	// Capacity-2 queues behind slow relays on a bursty fan-out: some
+	// puts must park on a full queue.
+	p := DefaultParams(3, "fanout", "onoff")
 	p.QueueCapMin, p.QueueCapMax = 2, 2
 	p.CostMin, p.CostMax = 12*time.Millisecond, 20*time.Millisecond
 	cm := runCell(t, p, RunConfig{})
 	if cm.PutWaits == 0 {
 		t.Fatal("no put-wait samples collected")
 	}
-	if cm.PutWaitP99Ms < 0 {
-		t.Fatalf("negative put-wait p99 %v", cm.PutWaitP99Ms)
+	if cm.PutWaitP99Ms <= 0 {
+		t.Fatalf("put-wait p99 %v ms, want > 0: no put parked on a full queue", cm.PutWaitP99Ms)
+	}
+}
+
+// TestPinnedCellParksOnRing runs a pinned-matrix cell exactly as
+// cmd/scenarios does and asserts its lock-free rings are exercised on
+// their blocking path: a consumer parked on an empty ring through the
+// virtual clock at least once.
+func TestPinnedCellParksOnRing(t *testing.T) {
+	p := DefaultParams(1719, "diamond", "steady")
+	p.Duration = 4 * time.Second
+	spec, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, r, err := run(spec, RunConfig{Estimator: "raw", Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rings, parked := 0, 0
+	for _, b := range r.rt.Snapshot().Buffers {
+		if b.Backend != "ring" {
+			continue
+		}
+		rings++
+		h := r.rt.Metrics().Histogram(rt.MetricGetBlocked, "", nil, metrics.Labels{"buffer": b.Name})
+		if h.Count() > 0 || b.PutBlockedCount > 0 {
+			parked++
+		}
+	}
+	if rings == 0 {
+		t.Fatal("cell materialized no ring")
+	}
+	if parked == 0 {
+		t.Fatalf("none of %d rings saw a parked get or put", rings)
 	}
 }
 

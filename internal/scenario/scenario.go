@@ -105,9 +105,6 @@ func (e *ParamError) Error() string {
 // StageSpec is one generated thread.
 type StageSpec struct {
 	Name string
-	// Index is the stage's position in spec order; it doubles as the
-	// stage's phase offset on the determinism grid (Index+1 ns).
-	Index int
 	// Kind is "source", "relay", "join", or "sink".
 	Kind string
 	// Cost is the per-item compute time (Grid-quantized).
@@ -236,7 +233,6 @@ func (b *builder) addStage(kind string) int {
 	}
 	st := StageSpec{
 		Name:      fmt.Sprintf("%s%d", kind, i),
-		Index:     i,
 		Kind:      kind,
 		Cost:      cost,
 		ItemBytes: 1024 + r.Int63n(15*1024),

@@ -103,14 +103,6 @@ type Config struct {
 	// Hosts is the candidate host set for placement. Nil means every
 	// replica inherits its primary's host (single-host behaviour).
 	Hosts []int
-
-	// Horizon, when positive, stops the loop from ticking at or past
-	// this clock instant: the last control tick fires strictly before
-	// it. Deterministic harnesses whose stages exit on their own
-	// deadlines set the horizon to the same deadline, so a tick can
-	// never tie with the run's stop instant on the discrete-event
-	// clock. Zero means tick until shutdown.
-	Horizon time.Duration
 }
 
 // withDefaults returns cfg with zero fields replaced by defaults.
@@ -395,9 +387,6 @@ func Loop(cfg Config) runtime.ControlLoop {
 					return
 				default:
 				}
-			}
-			if cfg.Horizon > 0 && clk.Now() >= cfg.Horizon {
-				return
 			}
 			s.step()
 		}

@@ -438,8 +438,8 @@ func sourceBody(ps *pipeState, period time.Duration) rt.Body {
 // the iteration — before Get — so a panic never strands an in-hand
 // item: the unconsumed item stays in the queue for the restarted body
 // (or for the drain accounting). Wire-fed relays poll TryGetLatest
-// like every remote consumer in the tree (a blocked wire get has no
-// local producer to wake it after seal).
+// instead of blocking: a blocked wire get has no local producer to
+// wake it after seal.
 func relayBody(ps *pipeState, idx int, killAt map[int64]bool, wireIn bool) rt.Body {
 	var iter int64
 	return func(ctx *rt.Ctx) error {

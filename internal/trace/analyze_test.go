@@ -180,6 +180,40 @@ func TestAnalyzeFootprint(t *testing.T) {
 	}
 }
 
+// TestPeakBytesTieOrderInvariant checks that a footprint peak does not
+// depend on the order of alloc/free deltas sharing one instant: the step
+// series folds every delta at an instant into one value, so an
+// intermediate level (here 450 B, if the alloc applied first) never
+// becomes a segment of the series. Every permutation of the
+// equal-instant events, each analyzed several times over the
+// analyzer's randomized map order, must give the same peak.
+func TestPeakBytesTieOrderInvariant(t *testing.T) {
+	base := []Event{
+		{Kind: EvAlloc, Item: 1, Size: 100, At: 0},
+		{Kind: EvAlloc, Item: 2, Size: 200, At: 0},
+		{Kind: EvFree, Item: 3, At: sec(2)},
+	}
+	tied := []Event{
+		{Kind: EvFree, Item: 1, At: sec(1)},
+		{Kind: EvFree, Item: 2, At: sec(1)},
+		{Kind: EvAlloc, Item: 3, Size: 150, At: sec(1)},
+	}
+	perms := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, perm := range perms {
+		evs := append([]Event(nil), base[:2]...)
+		for _, i := range perm {
+			evs = append(evs, tied[i])
+		}
+		evs = append(evs, base[2])
+		for rep := 0; rep < 8; rep++ {
+			a := mustAnalyze(t, evs, AnalyzeOptions{To: sec(3)})
+			if a.All.PeakBytes != 300 {
+				t.Fatalf("order %v: PeakBytes = %v, want 300", perm, a.All.PeakBytes)
+			}
+		}
+	}
+}
+
 func TestAnalyzeWindowClipping(t *testing.T) {
 	// Restrict to [2s, 4s): only the second emit's predecessor window.
 	a := mustAnalyze(t, buildPipelineTrace(), AnalyzeOptions{From: sec(2), To: sec(4)})

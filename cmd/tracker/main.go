@@ -71,10 +71,21 @@ func main() {
 		os.Exit(1)
 	}
 
+	if *warmup >= *duration {
+		fmt.Fprintf(os.Stderr, "tracker: warmup %v must be shorter than run %v\n", *warmup, *duration)
+		os.Exit(2)
+	}
+
 	fmt.Printf("color-based people tracker: policy=%s gc=%s hosts=%d duration=%v seed=%d\n",
 		p.Name(), *gcName, *hosts, *duration, *seed)
 	start := time.Now()
-	a, err := app.Run(*duration, *warmup)
+	if err := app.Runtime.RunFor(*duration); err != nil {
+		fmt.Fprintf(os.Stderr, "tracker: %v\n", err)
+		os.Exit(1)
+	}
+	// One snapshot of the trace feeds the analysis, the report and -trace.
+	events := app.Recorder.Events()
+	a, err := trace.AnalyzeEvents(events, trace.AnalyzeOptions{From: *warmup, To: *duration})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracker: %v\n", err)
 		os.Exit(1)
@@ -104,13 +115,13 @@ func main() {
 	fmt.Printf("items:              %d total, %d successful, %d wasted; %d gets, %d skips\n\n",
 		a.ItemsTotal, a.ItemsSuccessful, a.ItemsWasted, a.Gets, a.Skips)
 
-	rep := trace.BuildReport(app.Recorder.Events(), a)
+	rep := trace.BuildReport(events, a)
 	rep.WriteThreads(os.Stdout, app.Runtime.Graph())
 	fmt.Println()
 	rep.WriteChannels(os.Stdout, app.Runtime.Graph())
 
 	if *traceOut != "" {
-		if err := trace.SaveFileNamed(*traceOut, app.Recorder, trace.GraphNames(app.Runtime.Graph())); err != nil {
+		if err := trace.SaveFileNamed(*traceOut, events, trace.GraphNames(app.Runtime.Graph())); err != nil {
 			fmt.Fprintf(os.Stderr, "tracker: %v\n", err)
 			os.Exit(1)
 		}

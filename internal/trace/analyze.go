@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -105,9 +107,14 @@ func Analyze(r *Recorder, opt AnalyzeOptions) (*Analysis, error) {
 // AnalyzeEvents runs the postmortem analysis over an explicit event list.
 func AnalyzeEvents(events []Event, opt AnalyzeOptions) (*Analysis, error) {
 	end := opt.To
-	for _, ev := range events {
+	allocs := 0
+	for i := range events {
+		ev := &events[i]
 		if ev.At > end {
 			end = ev.At
+		}
+		if ev.Kind == EvAlloc {
+			allocs++
 		}
 	}
 	if opt.To == 0 {
@@ -122,8 +129,10 @@ func AnalyzeEvents(events []Event, opt AnalyzeOptions) (*Analysis, error) {
 	a := &Analysis{
 		From:  opt.From,
 		To:    opt.To,
-		Items: make(map[ItemID]*ItemInfo),
+		Items: make(map[ItemID]*ItemInfo, allocs),
 	}
+	// Every ItemInfo lives in one slab; Items points into it.
+	slab := make([]ItemInfo, 0, allocs)
 
 	// Pass 1: reconstruct item lifecycles and gather iteration/output
 	// events.
@@ -140,13 +149,14 @@ func AnalyzeEvents(events []Event, opt AnalyzeOptions) (*Analysis, error) {
 	}
 	var emits []emitRec
 
-	for _, ev := range events {
+	for i := range events {
+		ev := &events[i]
 		switch ev.Kind {
 		case EvAlloc:
 			if _, dup := a.Items[ev.Item]; dup {
 				return nil, fmt.Errorf("trace: duplicate alloc for item %d", ev.Item)
 			}
-			a.Items[ev.Item] = &ItemInfo{
+			slab = append(slab, ItemInfo{
 				ID:       ev.Item,
 				Node:     ev.Node,
 				Producer: ev.Thread,
@@ -155,7 +165,8 @@ func AnalyzeEvents(events []Event, opt AnalyzeOptions) (*Analysis, error) {
 				AllocAt:  ev.At,
 				FreeAt:   end,
 				Inputs:   ev.Items,
-			}
+			})
+			a.Items[ev.Item] = &slab[len(slab)-1]
 		case EvGet:
 			if it, ok := a.Items[ev.Item]; ok {
 				it.Gets++
@@ -207,23 +218,22 @@ func AnalyzeEvents(events []Event, opt AnalyzeOptions) (*Analysis, error) {
 		}
 	}
 
-	for _, it := range a.Items {
-		a.ItemsTotal++
-		if it.Successful {
+	a.ItemsTotal = len(slab)
+	for i := range slab {
+		if slab[i].Successful {
 			a.ItemsSuccessful++
-		} else {
-			a.ItemsWasted++
 		}
 	}
+	a.ItemsWasted = a.ItemsTotal - a.ItemsSuccessful
 
 	// Pass 3: footprint step series (all, wasted-only, IGC).
-	a.All = buildFootprint(a.Items, opt, func(it *ItemInfo) (bool, time.Duration, time.Duration) {
+	a.All = buildFootprint(slab, opt, func(it *ItemInfo) (bool, time.Duration, time.Duration) {
 		return true, it.AllocAt, it.FreeAt
 	})
-	a.Wasted = buildFootprint(a.Items, opt, func(it *ItemInfo) (bool, time.Duration, time.Duration) {
+	a.Wasted = buildFootprint(slab, opt, func(it *ItemInfo) (bool, time.Duration, time.Duration) {
 		return !it.Successful, it.AllocAt, it.FreeAt
 	})
-	a.IGC = buildFootprint(a.Items, opt, func(it *ItemInfo) (bool, time.Duration, time.Duration) {
+	a.IGC = buildFootprint(slab, opt, func(it *ItemInfo) (bool, time.Duration, time.Duration) {
 		if !it.Successful {
 			return false, 0, 0
 		}
@@ -312,29 +322,51 @@ func AnalyzeEvents(events []Event, opt AnalyzeOptions) (*Analysis, error) {
 	return a, nil
 }
 
+// delta is one step of an occupancy series: d bytes arrive (d > 0) or
+// leave (d < 0) at time at.
+type delta struct {
+	at time.Duration
+	d  int64
+}
+
+func deltaAt(x, y delta) int { return cmp.Compare(x.at, y.at) }
+
 // buildFootprint constructs one occupancy step series over the window.
 // include returns whether an item participates and its live interval.
-func buildFootprint(items map[ItemID]*ItemInfo, opt AnalyzeOptions,
+func buildFootprint(items []ItemInfo, opt AnalyzeOptions,
 	include func(*ItemInfo) (bool, time.Duration, time.Duration)) Footprint {
 
-	type delta struct {
-		at time.Duration
-		d  int64
-	}
-	var deltas []delta
-	for _, it := range items {
+	// Arrivals are gathered in allocation order, which a time-ordered
+	// trace has already sorted, so sorting the two lists apart leaves the
+	// real work to the departures alone; a merge then visits every step
+	// in time order.
+	ups := make([]delta, 0, len(items))
+	downs := make([]delta, 0, len(items))
+	for i := range items {
+		it := &items[i]
 		ok, lo, hi := include(it)
 		if !ok || hi <= lo {
 			continue
 		}
-		deltas = append(deltas, delta{at: lo, d: it.Size}, delta{at: hi, d: -it.Size})
+		ups = append(ups, delta{at: lo, d: it.Size})
+		downs = append(downs, delta{at: hi, d: -it.Size})
 	}
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].at < deltas[j].at })
+	slices.SortFunc(ups, deltaAt)
+	slices.SortFunc(downs, deltaAt)
 
 	series := stats.NewStepSeries()
 	series.Record(0, 0)
+	// Ties may be merged in any order: Record keeps the last level
+	// written at an instant, which is the same sum whatever order
+	// produced it.
 	var level int64
-	for _, d := range deltas {
+	for len(ups)+len(downs) > 0 {
+		var d delta
+		if len(downs) == 0 || len(ups) > 0 && ups[0].at <= downs[0].at {
+			d, ups = ups[0], ups[1:]
+		} else {
+			d, downs = downs[0], downs[1:]
+		}
 		level += d.d
 		series.Record(d.at, float64(level))
 	}

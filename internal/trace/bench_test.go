@@ -27,12 +27,30 @@ func BenchmarkAnalyze(b *testing.B) {
 			events = append(events, ev2)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := AnalyzeEvents(events, AnalyzeOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRecorderEvents measures the snapshot that every analysis and
+// persisted trace starts from: 64 k events dealt over eight shards in
+// runs of 16, the shape a traced multi-threaded run leaves behind (each
+// thread appends a burst to the shard it has affinity with).
+func BenchmarkRecorderEvents(b *testing.B) {
+	const n = 64 << 10
+	r := dealtRecorder(n, 8, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(r.Events()) != n {
+			b.Fatal("short snapshot")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
 }
 
 // BenchmarkRecorderAppend measures the tracing hot path.

@@ -93,16 +93,16 @@ func GraphNames(g *graph.Graph) map[graph.NodeID]string {
 
 // SaveFile writes a recorder's events to path without names.
 func SaveFile(path string, r *Recorder) error {
-	return SaveFileNamed(path, r, nil)
+	return SaveFileNamed(path, r.Events(), nil)
 }
 
-// SaveFileNamed writes a recorder's events plus a name table to path.
-func SaveFileNamed(path string, r *Recorder, names map[graph.NodeID]string) error {
+// SaveFileNamed writes events plus a name table to path.
+func SaveFileNamed(path string, events []Event, names map[graph.NodeID]string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = WriteNamed(f, r.Events(), names)
+	err = WriteNamed(f, events, names)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -15,7 +15,6 @@ package trace
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,17 +140,6 @@ func (s *shard) appendEntry(e entry) {
 	s.mu.Unlock()
 }
 
-// len returns the shard's entry count.
-func (s *shard) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	for _, c := range s.chunks {
-		total += len(c)
-	}
-	return total
-}
-
 // Recorder collects events. It is safe for concurrent use. A nil
 // *Recorder is valid and discards everything, so tracing can be disabled
 // without branching at call sites.
@@ -160,8 +148,9 @@ func (s *shard) len() int {
 // sequence number with one atomic increment and stores the event in a
 // per-P (pool-affine) chunked buffer, so concurrent thread goroutines do
 // not serialize on a single mutex and recording never rewrites history
-// to grow a slice. Events() merges the shards back into the global
-// append order, preserving the original single-buffer contract for the
+// to grow a slice. Sequence numbers are dense from 1, so Events() puts
+// every stored event straight back at its place in the global append
+// order, preserving the original single-buffer contract for the
 // analyze/persist consumers.
 type Recorder struct {
 	shards []*shard
@@ -210,39 +199,58 @@ func (r *Recorder) Append(ev Event) {
 	r.pool.Put(sh)
 }
 
-// Len returns the number of recorded events.
+// Len returns the number of recorded events: the number of Append calls
+// that have reserved a sequence number, so an append still in flight is
+// already counted.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	total := 0
-	for _, sh := range r.shards {
-		total += sh.len()
-	}
-	return total
+	return int(r.seq.Load())
 }
 
 // Events returns a snapshot copy of the recorded events in append order
 // (the order in which Append calls reserved their sequence numbers; for
 // causally ordered appends this matches the old single-mutex order
-// exactly). The merge and sort run only at analyze/persist time, never
-// on the recording hot path.
+// exactly). Every stored event is written to out[seq-1], so the snapshot
+// costs one pass over the shards and no sort; it runs only at
+// analyze/persist time, never on the recording hot path.
+//
+// An append in flight has reserved its number but may not have stored its
+// event yet. Such gaps are closed up, so a snapshot taken during a run is
+// the append order of what was stored.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	var all []entry
+	n := r.seq.Load()
+	out := make([]Event, n)
+	filled := make([]bool, n)
+	var placed int64
 	for _, sh := range r.shards {
 		sh.mu.Lock()
 		for _, c := range sh.chunks {
-			all = append(all, c...)
+			for i := range c {
+				// Entries reserved after the load fall outside this snapshot.
+				if s := c[i].seq; s <= n {
+					out[s-1] = c[i].ev
+					filled[s-1] = true
+					placed++
+				}
+			}
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	out := make([]Event, len(all))
-	for i := range all {
-		out[i] = all[i].ev
+	if placed == n {
+		return out
 	}
-	return out
+	k := 0
+	for i := range out {
+		if filled[i] {
+			out[k] = out[i]
+			k++
+		}
+	}
+	clear(out[k:])
+	return out[:k]
 }

@@ -14,7 +14,8 @@
 // puts/frees/liveBytes accounting live in the embedded buffer.Base; this
 // package adds only the FIFO discipline — a head-indexed slice whose
 // dequeues advance head instead of re-slicing, reusing the backing array
-// once drained so a steady-state queue stops allocating.
+// once drained or once the dequeued prefix fills half of it, so a
+// steady-state queue stops allocating.
 package queue
 
 import (
@@ -171,11 +172,25 @@ func (q *Queue) PutBatch(conn graph.ConnID, items []*Item) (int, time.Duration, 
 			err = ErrClosed
 			break
 		}
-		q.items = append(q.items, it)
+		q.pushLocked(it)
 		applied++
 	}
 	flush()
 	return applied, blocked, err
+}
+
+// pushLocked appends an item. When the backing array is full and at least
+// half of it is the dequeued prefix, the backlog first slides down over
+// that prefix, so a queue that is never fully drained reuses its array
+// instead of growing it with every put.
+func (q *Queue) pushLocked(it *Item) {
+	if q.head > 0 && len(q.items) == cap(q.items) && q.head >= len(q.items)/2 {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	q.items = append(q.items, it)
 }
 
 // Get dequeues the oldest item, blocking until one is available: a

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/clock"
 	"repro/internal/graph"
 	"repro/internal/vt"
@@ -236,5 +237,42 @@ func TestEachItemDeliveredOnce(t *testing.T) {
 	}
 	if q.Puts() != n {
 		t.Fatalf("Puts = %d", q.Puts())
+	}
+}
+
+// TestBoundedStorage pushes a million pooled puts through a capacity-1000
+// queue that keeps a standing backlog: its consumer takes the ten items
+// put since the last get after every tenth put, so the queue is never
+// drained and never full. Storage must stay bounded by the backlog, not
+// by the number of items that ever passed through: the backing array
+// within 2·capacity + 64 entries.
+func TestBoundedStorage(t *testing.T) {
+	const (
+		puts     = 1_000_000
+		capacity = 1000
+		backlog  = capacity / 2
+	)
+	pool := buffer.NewItemPool()
+	q := New(Config{Name: "bounded", Clock: clock.NewReal(), Capacity: capacity, Pool: pool})
+	q.AttachProducer(prod)
+	q.AttachConsumer(cons, 1)
+	var dst [10]GetResult
+	for i := 1; i <= backlog+puts; i++ {
+		it := pool.Get()
+		it.TS, it.Size = vt.Timestamp(i), 64
+		if _, err := q.Put(prod, it); err != nil {
+			t.Fatalf("Put(%d): %v", i, err)
+		}
+		if i > backlog && (i-backlog)%len(dst) == 0 {
+			if n, err := q.GetBatch(cons, dst[:]); err != nil || n != len(dst) {
+				t.Fatalf("GetBatch after %d puts: %d items, %v", i, n, err)
+			}
+		}
+	}
+	if got, max := cap(q.items), 2*capacity+64; got > max {
+		t.Errorf("cap(items) = %d after %d puts, want ≤ %d", got, puts, max)
+	}
+	if items, _ := q.Occupancy(); items != backlog {
+		t.Errorf("%d items queued after the last get, want %d", items, backlog)
 	}
 }

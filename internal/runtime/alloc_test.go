@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/trace"
 	"repro/internal/vt"
 )
 
@@ -23,9 +24,9 @@ import (
 
 const allocRuns = 500
 
-// allocRuntime builds a tracing-free runtime (nil Recorder: the sharded
-// trace recorder's amortized append costs are pinned separately in
-// internal/trace) with ARU off and a real clock.
+// allocRuntime builds a tracing-free runtime (nil Recorder: the traced
+// round trip is pinned by TestCtxPutGetSyncAllocsTraced) with ARU off and
+// a real clock.
 func allocRuntime() *Runtime {
 	return New(Options{Clock: clock.NewReal(), ARU: core.PolicyOff()})
 }
@@ -127,6 +128,69 @@ func TestCtxPutGetChannelAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("channel put+get round trip: %.0f allocs/op, want 0 (pooled Item)", allocs)
+	}
+}
+
+// TestCtxPutGetSyncAllocsTraced pins the traced round trip: with a
+// Recorder attached, a channel put+get where both sides end the
+// iteration with Sync — so the producer's EvIter and EvAlloc carry
+// provenance — is 0 allocs/op. The recorder copies every provenance list
+// into its arena, and its event and arena chunks amortize to nothing
+// under AllocsPerRun's integer division.
+func TestCtxPutGetSyncAllocsTraced(t *testing.T) {
+	rt := New(Options{Clock: clock.NewReal(), ARU: core.PolicyOff(), Recorder: trace.NewRecorder()})
+	ch := rt.MustAddChannel("C", 0)
+	req := make(chan struct{})
+	ack := make(chan struct{})
+	got := make(chan float64, 1)
+
+	prod := rt.MustAddThread("prod", 0, func(ctx *Ctx) error {
+		out := ctx.Outs()[0]
+		ts := vt.Timestamp(0)
+		for {
+			select {
+			case <-ctx.Done():
+				return nil
+			case _, ok := <-req:
+				if !ok {
+					return nil
+				}
+			}
+			ts++
+			if err := ctx.Put(out, ts, nil, 64); err != nil {
+				return err
+			}
+			ctx.Sync()
+			ack <- struct{}{}
+		}
+	})
+	cons := rt.MustAddThread("cons", 0, func(ctx *Ctx) error {
+		in := ctx.Ins()[0]
+		got <- testing.AllocsPerRun(allocRuns, func() {
+			req <- struct{}{}
+			<-ack
+			if _, err := ctx.Get(in); err != nil {
+				panic(err)
+			}
+			ctx.Sync()
+		})
+		close(req)
+		<-ctx.Done()
+		return nil
+	})
+	prod.MustOutput(ch)
+	cons.MustInput(ch)
+
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := <-got
+	rt.Stop()
+	if err := rt.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("traced put+Sync+get+Sync round trip: %.0f allocs/op, want 0", allocs)
 	}
 }
 

@@ -52,17 +52,6 @@ var ErrReattached = buffer.ErrReattached
 // whole dead subgraphs resolve instead of hanging.
 var ErrPeerFailed = buffer.ErrPeerFailed
 
-// snapshotItems copies an id list for attachment to a trace event, or
-// returns nil when tracing is disabled: the nil recorder would drop the
-// copy anyway, and untraced runs must not pay a per-iteration allocation
-// for provenance nobody reads.
-func snapshotItems(rec *trace.Recorder, ids []trace.ItemID) []trace.ItemID {
-	if rec == nil || len(ids) == 0 {
-		return nil
-	}
-	return append([]trace.ItemID(nil), ids...)
-}
-
 // Thread is one declared computation thread.
 type Thread struct {
 	rt     *Runtime
@@ -648,7 +637,7 @@ func (c *Ctx) PutBatch(p *OutPort, specs []PutSpec) (applied int, err error) {
 			rec.Append(trace.Event{
 				Kind: trace.EvAlloc, At: now, Item: it.ID,
 				Node: p.ref.id, Thread: c.thread.id, TS: it.TS, Size: it.Size,
-				Items: snapshotItems(rec, c.consumed),
+				Items: c.consumed,
 			})
 		}
 	}
@@ -748,7 +737,7 @@ func (c *Ctx) Emit() {
 	if rec := c.rt.opts.Recorder; rec != nil {
 		rec.Append(trace.Event{
 			Kind: trace.EvEmit, At: c.rt.clk.Now(), Thread: c.thread.id,
-			Items: snapshotItems(rec, c.consumed),
+			Items: c.consumed,
 		})
 	}
 	c.emitted++
@@ -792,7 +781,7 @@ func (c *Ctx) Sync() {
 		rec.Append(trace.Event{
 			Kind: trace.EvIter, At: now, Thread: c.thread.id,
 			Compute: busy, Blocked: blocked,
-			Items: snapshotItems(rec, c.produced),
+			Items: c.produced,
 		})
 	}
 	c.consumed = c.consumed[:0]

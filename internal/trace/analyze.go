@@ -99,24 +99,35 @@ type AnalyzeOptions struct {
 	From, To time.Duration
 }
 
-// Analyze runs the postmortem analysis over a recorder's events.
+// Analyze runs the postmortem analysis over a recorder's events, reading
+// them where they lie: the events recorded when it is called, without a
+// copy.
 func Analyze(r *Recorder, opt AnalyzeOptions) (*Analysis, error) {
-	return AnalyzeEvents(r.Events(), opt)
+	return analyze(r.segments(), opt)
 }
 
 // AnalyzeEvents runs the postmortem analysis over an explicit event list.
 func AnalyzeEvents(events []Event, opt AnalyzeOptions) (*Analysis, error) {
+	return analyze([][]Event{events}, opt)
+}
+
+// analyze is the postmortem pass over a trace held as consecutive
+// segments, in append order.
+func analyze(segs [][]Event, opt AnalyzeOptions) (*Analysis, error) {
 	end := opt.To
-	allocs := 0
-	for i := range events {
-		ev := &events[i]
-		if ev.At > end {
-			end = ev.At
-		}
-		if ev.Kind == EvAlloc {
-			allocs++
+	var counts [EvEmit + 1]int
+	for _, events := range segs {
+		for i := range events {
+			ev := &events[i]
+			if ev.At > end {
+				end = ev.At
+			}
+			if ev.Kind <= EvEmit {
+				counts[ev.Kind]++
+			}
 		}
 	}
+	allocs := counts[EvAlloc]
 	if opt.To == 0 {
 		// Default window covers every event; +1ns keeps the half-open
 		// interval from excluding events at exactly the last instant.
@@ -137,61 +148,61 @@ func AnalyzeEvents(events []Event, opt AnalyzeOptions) (*Analysis, error) {
 	// Pass 1: reconstruct item lifecycles and gather iteration/output
 	// events.
 	type iterRec struct {
-		thread   graph.NodeID
 		compute  time.Duration
-		at       time.Duration
 		produced []ItemID
 	}
-	var iters []iterRec
+	iters := make([]iterRec, 0, counts[EvIter])
 	type emitRec struct {
 		at    time.Duration
 		items []ItemID
 	}
-	var emits []emitRec
+	emits := make([]emitRec, 0, counts[EvEmit])
 
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case EvAlloc:
-			if _, dup := a.Items[ev.Item]; dup {
-				return nil, fmt.Errorf("trace: duplicate alloc for item %d", ev.Item)
-			}
-			slab = append(slab, ItemInfo{
-				ID:       ev.Item,
-				Node:     ev.Node,
-				Producer: ev.Thread,
-				TS:       ev.TS,
-				Size:     ev.Size,
-				AllocAt:  ev.At,
-				FreeAt:   end,
-				Inputs:   ev.Items,
-			})
-			a.Items[ev.Item] = &slab[len(slab)-1]
-		case EvGet:
-			if it, ok := a.Items[ev.Item]; ok {
-				it.Gets++
-				if ev.At > it.LastGetAt {
-					it.LastGetAt = ev.At
+	for _, events := range segs {
+		for i := range events {
+			ev := &events[i]
+			switch ev.Kind {
+			case EvAlloc:
+				if _, dup := a.Items[ev.Item]; dup {
+					return nil, fmt.Errorf("trace: duplicate alloc for item %d", ev.Item)
 				}
-				a.Gets++
-			}
-		case EvSkip:
-			if it, ok := a.Items[ev.Item]; ok {
-				it.Skips++
-				a.Skips++
-			}
-		case EvFree:
-			if it, ok := a.Items[ev.Item]; ok {
-				if it.Freed {
-					return nil, fmt.Errorf("trace: double free of item %d", ev.Item)
+				slab = append(slab, ItemInfo{
+					ID:       ev.Item,
+					Node:     ev.Node,
+					Producer: ev.Thread,
+					TS:       ev.TS,
+					Size:     ev.Size,
+					AllocAt:  ev.At,
+					FreeAt:   end,
+					Inputs:   ev.Items,
+				})
+				a.Items[ev.Item] = &slab[len(slab)-1]
+			case EvGet:
+				if it, ok := a.Items[ev.Item]; ok {
+					it.Gets++
+					if ev.At > it.LastGetAt {
+						it.LastGetAt = ev.At
+					}
+					a.Gets++
 				}
-				it.Freed = true
-				it.FreeAt = ev.At
+			case EvSkip:
+				if it, ok := a.Items[ev.Item]; ok {
+					it.Skips++
+					a.Skips++
+				}
+			case EvFree:
+				if it, ok := a.Items[ev.Item]; ok {
+					if it.Freed {
+						return nil, fmt.Errorf("trace: double free of item %d", ev.Item)
+					}
+					it.Freed = true
+					it.FreeAt = ev.At
+				}
+			case EvIter:
+				iters = append(iters, iterRec{compute: ev.Compute, produced: ev.Items})
+			case EvEmit:
+				emits = append(emits, emitRec{at: ev.At, items: ev.Items})
 			}
-		case EvIter:
-			iters = append(iters, iterRec{thread: ev.Thread, compute: ev.Compute, at: ev.At, produced: ev.Items})
-		case EvEmit:
-			emits = append(emits, emitRec{at: ev.At, items: ev.Items})
 		}
 	}
 

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"sync"
 	"testing"
 )
 
@@ -36,13 +35,11 @@ func BenchmarkAnalyze(b *testing.B) {
 	}
 }
 
-// BenchmarkRecorderEvents measures the snapshot that every analysis and
-// persisted trace starts from: 64 k events dealt over eight shards in
-// runs of 16, the shape a traced multi-threaded run leaves behind (each
-// thread appends a burst to the shard it has affinity with).
+// BenchmarkRecorderEvents measures the snapshot that every persisted
+// trace and report starts from: 64 k events.
 func BenchmarkRecorderEvents(b *testing.B) {
 	const n = 64 << 10
-	r := dealtRecorder(n, 8, 16)
+	r := filledRecorder(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,35 +67,6 @@ func BenchmarkRecorderAppend(b *testing.B) {
 // put/get/skip/free funnels into the recorder).
 func BenchmarkRecorderAppendParallel(b *testing.B) {
 	r := NewRecorder()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		ev := Event{Kind: EvGet, Item: 1}
-		for pb.Next() {
-			r.Append(ev)
-		}
-	})
-}
-
-// mutexRecorder is the pre-sharding single-mutex design, kept as an
-// in-tree baseline so the parallel speedup of the sharded recorder stays
-// measurable in one benchmark run.
-type mutexRecorder struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-func (r *mutexRecorder) Append(ev Event) {
-	r.mu.Lock()
-	r.events = append(r.events, ev)
-	r.mu.Unlock()
-}
-
-// BenchmarkRecorderAppendParallelMutexBaseline measures the single-mutex
-// baseline under the same parallel load as
-// BenchmarkRecorderAppendParallel.
-func BenchmarkRecorderAppendParallelMutexBaseline(b *testing.B) {
-	r := &mutexRecorder{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

@@ -14,7 +14,7 @@
 package trace
 
 import (
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,79 +105,34 @@ type Event struct {
 	Items []ItemID
 }
 
-// chunkSize is the number of events held by one shard chunk. Chunks are
-// append-only and never reallocated, so recording never copies old
-// events (the single-slice design paid an amortized memmove of the whole
-// history on every growth).
+// chunkSize is the number of events held by one recorder chunk. Chunks
+// are append-only and never reallocated, so recording never copies old
+// events and a reader holding a chunk header sees a stable prefix.
 const chunkSize = 1024
 
-// entry is one recorded event tagged with its global append sequence
-// number, which defines the total order Events() reconstructs.
-type entry struct {
-	seq int64
-	ev  Event
-}
-
-// shard is one append-only event buffer. Shards are owned by the
-// recorder; goroutines acquire temporary affinity to a shard through a
-// sync.Pool, so in steady state each P appends to its own shard and the
-// shard mutex is uncontended.
-type shard struct {
-	mu     sync.Mutex
-	chunks [][]entry
-}
-
-// appendEntry adds one entry to the shard's current chunk, opening a new
-// chunk when full.
-func (s *shard) appendEntry(e entry) {
-	s.mu.Lock()
-	n := len(s.chunks)
-	if n == 0 || len(s.chunks[n-1]) == chunkSize {
-		s.chunks = append(s.chunks, make([]entry, 0, chunkSize))
-		n++
-	}
-	s.chunks[n-1] = append(s.chunks[n-1], e)
-	s.mu.Unlock()
-}
+// idChunkSize is the number of provenance ids one arena chunk holds; a
+// longer list gets a chunk of its own length.
+const idChunkSize = 4096
 
 // Recorder collects events. It is safe for concurrent use. A nil
 // *Recorder is valid and discards everything, so tracing can be disabled
 // without branching at call sites.
 //
-// Internally the recorder is sharded: every Append reserves a global
-// sequence number with one atomic increment and stores the event in a
-// per-P (pool-affine) chunked buffer, so concurrent thread goroutines do
-// not serialize on a single mutex and recording never rewrites history
-// to grow a slice. Sequence numbers are dense from 1, so Events() puts
-// every stored event straight back at its place in the global append
-// order, preserving the original single-buffer contract for the
-// analyze/persist consumers.
+// The recorder is one append log: a mutex-guarded list of event chunks,
+// so append order is lock order and a causally ordered pair of appends
+// keeps its order. Every provenance list is copied into a chunked id
+// arena, so callers may reuse their slices and recording costs no
+// allocation per event. Analyze reads the chunks where they lie.
 type Recorder struct {
-	shards []*shard
-	pool   sync.Pool
-	seq    atomic.Int64 // global append order; also counts appends
+	mu     sync.Mutex
+	chunks [][]Event // guarded by mu; every chunk but the last is full
+	ids    []ItemID  // guarded by mu; the current provenance arena chunk
+	n      int       // guarded by mu; events recorded
 	nextID atomic.Int64
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	r := &Recorder{shards: make([]*shard, n)}
-	for i := range r.shards {
-		r.shards[i] = &shard{}
-	}
-	// The pool hands goroutines shard affinity. If the GC drops pooled
-	// entries, New re-issues shards round-robin; events already stored
-	// are owned by r.shards and are never lost.
-	var next atomic.Int64
-	r.pool.New = func() any {
-		return r.shards[int(next.Add(1)-1)%len(r.shards)]
-	}
-	return r
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // NewItemID allocates a fresh unique item id, starting at 1. Valid on a
 // nil recorder, which hands out ids without recording anything.
@@ -188,69 +143,76 @@ func (r *Recorder) NewItemID() ItemID {
 	return ItemID(r.nextID.Add(1))
 }
 
-// Append records one event. A nil recorder discards it.
+// Append records one event. A nil recorder discards it. ev.Items is
+// copied into the recorder's arena, so the caller may reuse its slice;
+// an empty list is recorded as nil.
 func (r *Recorder) Append(ev Event) {
 	if r == nil {
 		return
 	}
-	seq := r.seq.Add(1)
-	sh := r.pool.Get().(*shard)
-	sh.appendEntry(entry{seq: seq, ev: ev})
-	r.pool.Put(sh)
+	r.mu.Lock()
+	ev.Items = r.storeIDs(ev.Items)
+	k := len(r.chunks)
+	if k == 0 || len(r.chunks[k-1]) == chunkSize {
+		r.chunks = append(r.chunks, make([]Event, 0, chunkSize))
+		k++
+	}
+	r.chunks[k-1] = append(r.chunks[k-1], ev)
+	r.n++
+	r.mu.Unlock()
 }
 
-// Len returns the number of recorded events: the number of Append calls
-// that have reserved a sequence number, so an append still in flight is
-// already counted.
+// storeIDs copies ids into the arena and returns the copy, capped at its
+// length so an append on it cannot overwrite the next list. The caller
+// holds r.mu.
+func (r *Recorder) storeIDs(ids []ItemID) []ItemID {
+	if len(ids) == 0 {
+		return nil
+	}
+	if cap(r.ids)-len(r.ids) < len(ids) {
+		r.ids = make([]ItemID, 0, max(idChunkSize, len(ids)))
+	}
+	off := len(r.ids)
+	r.ids = append(r.ids, ids...)
+	return r.ids[off:len(r.ids):len(r.ids)]
+}
+
+// Len returns the number of recorded events.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return int(r.seq.Load())
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
 }
 
-// Events returns a snapshot copy of the recorded events in append order
-// (the order in which Append calls reserved their sequence numbers; for
-// causally ordered appends this matches the old single-mutex order
-// exactly). Every stored event is written to out[seq-1], so the snapshot
-// costs one pass over the shards and no sort; it runs only at
-// analyze/persist time, never on the recording hot path.
-//
-// An append in flight has reserved its number but may not have stored its
-// event yet. Such gaps are closed up, so a snapshot taken during a run is
-// the append order of what was stored.
+// segments returns the recorded chunks as of now. The copy holds the
+// chunk headers only: chunks are append-only, so the events under them
+// never change and the copy is a consistent prefix of the log while
+// appends go on.
+func (r *Recorder) segments() [][]Event {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.chunks)
+}
+
+// Events returns a copy of the recorded events in append order. Their
+// Items share the recorder's arena, whose stored lists are never written
+// again. Only persisting and reporting need the copy; Analyze reads the
+// chunks in place.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	n := r.seq.Load()
-	out := make([]Event, n)
-	filled := make([]bool, n)
-	var placed int64
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for _, c := range sh.chunks {
-			for i := range c {
-				// Entries reserved after the load fall outside this snapshot.
-				if s := c[i].seq; s <= n {
-					out[s-1] = c[i].ev
-					filled[s-1] = true
-					placed++
-				}
-			}
-		}
-		sh.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Event, 0, r.n)
+	for _, c := range r.chunks {
+		out = append(out, c...)
 	}
-	if placed == n {
-		return out
-	}
-	k := 0
-	for i := range out {
-		if filled[i] {
-			out[k] = out[i]
-			k++
-		}
-	}
-	clear(out[k:])
-	return out[:k]
+	return out
 }

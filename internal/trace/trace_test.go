@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -54,8 +56,8 @@ func TestRecorderFirstItemID(t *testing.T) {
 }
 
 // TestRecorderOrderAcrossChunks pins the Events() contract over the
-// sharded implementation: append order is reconstructed exactly, even
-// when the history spans many chunks.
+// chunked log: append order is kept exactly, even when the history spans
+// many chunks.
 func TestRecorderOrderAcrossChunks(t *testing.T) {
 	r := NewRecorder()
 	const n = 3*chunkSize + 17
@@ -78,7 +80,7 @@ func TestRecorderOrderAcrossChunks(t *testing.T) {
 
 // TestRecorderCausalOrderConcurrent checks that causally ordered appends
 // (alloc handed off to a consumer which then records a get) never invert
-// in the merged Events() view, whatever shard each landed in.
+// in the Events() view, whichever goroutine appended them.
 func TestRecorderCausalOrderConcurrent(t *testing.T) {
 	r := NewRecorder()
 	const items = 200
@@ -178,22 +180,10 @@ func TestRecorderConcurrentAppend(t *testing.T) {
 }
 
 // TestRecorderEventsWhileAppending checks snapshots taken while appends
-// are in flight. An append that has reserved its sequence number but not
-// yet stored its event leaves a gap, which Events() must close up: every
-// snapshot is the append order of what was stored, with no zero-value
-// holes, and once the appends stop it holds every event.
+// are in flight: every snapshot is the append order of what was stored,
+// with no zero-value holes, and once the appends stop it holds every
+// event.
 func TestRecorderEventsWhileAppending(t *testing.T) {
-	t.Run("reserved", func(t *testing.T) {
-		r := NewRecorder()
-		for i := 1; i <= 3; i++ {
-			r.Append(Event{Kind: EvGet, Item: ItemID(i)})
-		}
-		inflight := r.seq.Add(1) // an Append between reserving and storing
-		r.Append(Event{Kind: EvGet, Item: 5})
-		assertItems(t, r.Events(), 1, 2, 3, 5)
-		r.shards[0].appendEntry(entry{seq: inflight, ev: Event{Kind: EvGet, Item: 4}})
-		assertItems(t, r.Events(), 1, 2, 3, 4, 5)
-	})
 	t.Run("concurrent", func(t *testing.T) {
 		r := NewRecorder()
 		const writers, per = 4, 5000
@@ -247,25 +237,13 @@ func checkWriterPrefixes(t *testing.T, evs []Event, writers int) {
 	}
 }
 
-func assertItems(t *testing.T, evs []Event, want ...ItemID) {
-	t.Helper()
-	if len(evs) != len(want) {
-		t.Fatalf("%d events, want %d", len(evs), len(want))
-	}
-	for i, ev := range evs {
-		if ev.Item != want[i] {
-			t.Fatalf("event %d has item %d, want %d", i, ev.Item, want[i])
-		}
-	}
-}
-
 // TestRecorderEventsAllocs pins the snapshot's allocations: Events()
-// places entries by sequence number into slices it allocates once, so the
-// count does not grow with the number of events, chunks or shards.
+// copies the chunks into one slice it allocates once, so the count does
+// not grow with the number of events or chunks.
 func TestRecorderEventsAllocs(t *testing.T) {
 	var counts []float64
 	for _, n := range []int{chunkSize, 40 * chunkSize} {
-		r := dealtRecorder(n, 7, 1)
+		r := filledRecorder(n)
 		allocs := testing.AllocsPerRun(20, func() {
 			if len(r.Events()) != n {
 				panic("short snapshot")
@@ -281,20 +259,128 @@ func TestRecorderEventsAllocs(t *testing.T) {
 	}
 }
 
-// dealtRecorder returns a recorder holding n events (item i at sequence
-// number i+1) dealt round-robin over the given number of shards in runs
-// of run consecutive sequence numbers.
-func dealtRecorder(n, shards, run int) *Recorder {
+// filledRecorder returns a recorder holding n events, item i at index i.
+func filledRecorder(n int) *Recorder {
 	r := NewRecorder()
-	r.shards = make([]*shard, shards)
-	for i := range r.shards {
-		r.shards[i] = &shard{}
-	}
 	for i := 0; i < n; i++ {
-		seq := r.seq.Add(1)
-		r.shards[i/run%shards].appendEntry(entry{seq: seq, ev: Event{Kind: EvGet, Item: ItemID(i)}})
+		r.Append(Event{Kind: EvGet, Item: ItemID(i)})
 	}
 	return r
 }
 
 var _ = graph.NodeID(0) // keep import honest in minimal builds
+
+// TestAppendCopiesItems pins the provenance contract of Append: the
+// recorder keeps its own copy of every Items list in its arena.
+func TestAppendCopiesItems(t *testing.T) {
+	ids := func(from, n int) []ItemID {
+		out := make([]ItemID, n)
+		for i := range out {
+			out[i] = ItemID(from + i)
+		}
+		return out
+	}
+	r := NewRecorder()
+
+	// A caller reusing its slice after Append leaves the event alone.
+	buf := ids(1, 3)
+	r.Append(Event{Kind: EvIter, Items: buf})
+	r.Append(Event{Kind: EvIter, Items: ids(10, 2)})
+	copy(buf, ids(100, 3))
+
+	// Empty lists come back nil.
+	r.Append(Event{Kind: EvIter, Items: []ItemID{}})
+	r.Append(Event{Kind: EvIter})
+
+	// Fill the arena chunk to two ids short, then a list that does not
+	// fit opens a new chunk, and one longer than a whole chunk gets its
+	// own.
+	r.Append(Event{Kind: EvIter, Items: ids(1000, idChunkSize-5-2)})
+	r.Append(Event{Kind: EvIter, Items: ids(20000, 3)})
+	r.Append(Event{Kind: EvIter, Items: ids(30000, idChunkSize+10)})
+	r.Append(Event{Kind: EvIter, Items: ids(50000, 1)})
+
+	// reflect.DeepEqual tells a nil list from an empty one.
+	want := [][]ItemID{
+		ids(1, 3), ids(10, 2), nil, nil,
+		ids(1000, idChunkSize-5-2), ids(20000, 3), ids(30000, idChunkSize+10), ids(50000, 1),
+	}
+	evs := r.Events()
+	if len(evs) != len(want) {
+		t.Fatalf("%d events, want %d", len(evs), len(want))
+	}
+	for i, ev := range evs {
+		if !reflect.DeepEqual(ev.Items, want[i]) {
+			t.Errorf("event %d: Items = %v, want %v", i, ev.Items, want[i])
+		}
+	}
+
+	// An append on a returned list cannot overwrite its arena neighbour.
+	_ = append(evs[0].Items, 77, 78)
+	_ = append(evs[5].Items, 79)
+	again := r.Events()
+	for i := range want {
+		if !reflect.DeepEqual(again[i].Items, want[i]) {
+			t.Errorf("after appends on returned lists: event %d Items = %v, want %v", i, again[i].Items, want[i])
+		}
+	}
+
+	// persist round-trips the events unchanged.
+	var out bytes.Buffer
+	if err := Write(&out, again); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, again) {
+		t.Fatalf("persist round trip changed the events")
+	}
+}
+
+// TestAnalyzeWhileAppending runs the in-place pass while appends go on:
+// each Analyze sees a prefix of the log, so the item count never falls,
+// and once the appends stop it sees every item.
+func TestAnalyzeWhileAppending(t *testing.T) {
+	r := NewRecorder()
+	const writers, per = 4, 3000
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var inputs []ItemID
+			for i := 0; i < per; i++ {
+				id := r.NewItemID()
+				r.Append(Event{Kind: EvAlloc, At: time.Duration(i), Item: id, Size: 1, Items: inputs})
+				inputs = append(inputs[:0], id)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	last := 0
+	for {
+		select {
+		case <-done:
+			a, err := Analyze(r, AnalyzeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.ItemsTotal != writers*per {
+				t.Fatalf("after the appends: %d items, want %d", a.ItemsTotal, writers*per)
+			}
+			return
+		default:
+		}
+		a, err := Analyze(r, AnalyzeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.ItemsTotal < last {
+			t.Fatalf("item count fell from %d to %d", last, a.ItemsTotal)
+		}
+		last = a.ItemsTotal
+	}
+}

@@ -1,6 +1,8 @@
 package clock
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -44,4 +46,31 @@ func BenchmarkVirtualContended(b *testing.B) {
 	b.StopTimer()
 	close(done)
 	v.Add(-1)
+}
+
+// BenchmarkVirtualHandoff measures one turn handoff between participants
+// started with Go: each takes the turn, counts it and sleeps, so every
+// handoff passes from one coroutine to the next.
+func BenchmarkVirtualHandoff(b *testing.B) {
+	for _, n := range []int{2, 6} {
+		b.Run(fmt.Sprintf("go=%d", n), func(b *testing.B) {
+			v := NewVirtual()
+			turns := 0
+			var wg sync.WaitGroup
+			wg.Add(n)
+			v.Add(1) // hold the turn until every participant is queued
+			for w := 0; w < n; w++ {
+				v.Go(func() {
+					defer wg.Done()
+					for turns < b.N {
+						turns++
+						v.Sleep(time.Millisecond)
+					}
+				})
+			}
+			b.ResetTimer()
+			v.Add(-1)
+			wg.Wait()
+		})
+	}
 }

@@ -6,6 +6,13 @@
 // clock's epoch ("runtime time"). A ScaledClock lets an application declare
 // paper-scale durations (a 250 ms tracker stage) while the process sleeps a
 // fraction of that, so recorded metrics remain in paper units.
+//
+// Virtual is a discrete-event clock that runs its participants one at a
+// time: those started with Go are coroutines that hand the turn over by a
+// direct switch, those registered with Add are goroutines woken through a
+// Ticket's channel. Park and Ready block and wake on a Ticket under any
+// clock. virtual.go carries a go1.23 build tag, because iter.Pull needs
+// that language version and go.mod stays at go 1.22.
 package clock
 
 import (

@@ -1,6 +1,13 @@
+//go:build go1.23
+
+// The build tag lifts this file's language version to go1.23, which
+// iter.Pull needs, while go.mod stays at go 1.22 for the modules that
+// compile against this package.
+
 package clock
 
 import (
+	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,6 +35,14 @@ import (
 // When the running count reaches zero it hands the turn to the head of
 // the run queue; when the queue is empty it jumps to the earliest deadline
 // and queues every sleeper due then, in heap order.
+//
+// A participant started with Go runs as a coroutine (iter.Pull) and gives
+// up its turn by yielding to a dispatcher loop, which resumes the next
+// coroutine directly: no channel send and no goroutine park. One
+// registered with Add is woken by a send on its ticket's channel. While a
+// coroutine holds the turn it is the only participant running, so Add(1)
+// from another goroutine waits for the turn, and a coroutine must not
+// call Add.
 type Virtual struct {
 	now atomic.Int64 // virtual time; written under mu
 
@@ -37,7 +52,11 @@ type Virtual struct {
 	head     int
 	sleepers []vSleeper // min-heap on (deadline, seq)
 	seq      uint64
-	free     []Ticket // sleep tickets for reuse
+	free     []Ticket // channel tickets for reuse
+
+	cur  *coro         // the coroutine holding the turn, nil when none does
+	next *coro         // the coroutine the dispatcher resumes next
+	wake chan struct{} // the channel waiter the dispatcher sends the turn to
 }
 
 type vSleeper struct {
@@ -51,19 +70,32 @@ func (a vSleeper) before(b vSleeper) bool {
 }
 
 // Ticket is a reusable wake-up token: one goroutine parks on it and
-// another readies it once per park. It is a channel of capacity one, so a
-// Ready that lands before the Park is not lost.
-type Ticket chan struct{}
+// another readies it once per park. A Ready that lands before the Park is
+// not lost.
+type Ticket = *ticket
+
+type ticket struct {
+	ch chan struct{} // capacity one: the turn for a goroutine parked outside a coroutine
+	co *coro         // the coroutine waiting on the ticket, set by Park or Sleep, cleared by the wake
+}
+
+// coro is a participant started with Go: resume runs it until it yields
+// its turn or returns.
+type coro struct {
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	self   ticket // the ticket it sleeps on
+}
 
 // NewTicket returns an unreadied ticket.
-func NewTicket() Ticket { return make(Ticket, 1) }
+func NewTicket() Ticket { return &ticket{ch: make(chan struct{}, 1)} }
 
 // Registrar is implemented by clocks that schedule their participant
 // goroutines.
 type Registrar interface {
 	// Add adjusts the count of running participants by delta.
 	Add(delta int)
-	// Go starts f on a new participant goroutine that waits its turn.
+	// Go starts f as a new participant that waits its turn.
 	Go(f func())
 	// Park gives up the caller's turn until tk is readied.
 	Park(tk Ticket)
@@ -78,7 +110,7 @@ func Park(c Clock, tk Ticket) {
 		r.Park(tk)
 		return
 	}
-	<-tk
+	<-tk.ch
 }
 
 // Ready wakes the goroutine parked, or about to park, on tk.
@@ -87,7 +119,7 @@ func Ready(c Clock, tk Ticket) {
 		r.Ready(tk)
 		return
 	}
-	tk <- struct{}{}
+	tk.ch <- struct{}{}
 }
 
 var (
@@ -103,40 +135,52 @@ func (v *Virtual) Now() time.Duration { return time.Duration(v.now.Load()) }
 
 // Add implements Registrar. A free-running participant registers with
 // Add(1) and leaves with Add(-1); while registered it counts as running
-// except inside Sleep and Park.
+// except inside Sleep and Park. Registering while a coroutine holds the
+// turn waits for the turn.
 func (v *Virtual) Add(delta int) {
 	v.mu.Lock()
+	if delta > 0 && v.cur != nil {
+		tk := v.ticketLocked()
+		v.runq = append(v.runq, tk)
+		v.waitLocked(tk)
+		delta-- // the turn counts the caller as running
+	}
 	v.running += delta
-	v.handOffLocked()
+	v.handOffLocked(false)
 	v.mu.Unlock()
 }
 
-// Go implements Registrar: f runs on a new goroutine once the turn
-// reaches it, and the goroutine leaves the clock when f returns.
+// Go implements Registrar: f runs as a coroutine once the turn reaches
+// it, and leaves the clock when f returns.
 func (v *Virtual) Go(f func()) {
-	tk := NewTicket()
-	v.Ready(tk)
-	go func() {
-		<-tk
-		defer v.Add(-1)
+	co := &coro{}
+	co.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
 		f()
-	}()
+	})
+	co.self.co = co
+	v.Ready(&co.self)
 }
 
 // Park implements Registrar.
 func (v *Virtual) Park(tk Ticket) {
 	v.mu.Lock()
+	if co := v.cur; co != nil {
+		tk.co = co
+		v.yieldLocked(co)
+		return
+	}
 	v.running--
-	v.handOffLocked()
+	v.handOffLocked(false)
 	v.mu.Unlock()
-	<-tk
+	<-tk.ch
 }
 
 // Ready implements Registrar.
 func (v *Virtual) Ready(tk Ticket) {
 	v.mu.Lock()
 	v.runq = append(v.runq, tk)
-	v.handOffLocked()
+	v.handOffLocked(false)
 	v.mu.Unlock()
 }
 
@@ -148,27 +192,85 @@ func (v *Virtual) Sleep(d time.Duration) {
 		return
 	}
 	v.mu.Lock()
-	var tk Ticket
-	if n := len(v.free); n > 0 {
-		tk, v.free = v.free[n-1], v.free[:n-1]
-	} else {
-		tk = NewTicket()
+	if co := v.cur; co != nil {
+		co.self.co = co
+		v.push(vSleeper{deadline: v.Now() + d, seq: v.seq, tk: &co.self})
+		v.seq++
+		v.yieldLocked(co)
+		return
 	}
+	tk := v.ticketLocked()
 	v.push(vSleeper{deadline: v.Now() + d, seq: v.seq, tk: tk})
 	v.seq++
 	v.running--
-	v.handOffLocked()
+	v.handOffLocked(false)
+	v.waitLocked(tk)
 	v.mu.Unlock()
-	<-tk
+}
+
+// ticketLocked returns a channel ticket from the free list or a new one.
+func (v *Virtual) ticketLocked() Ticket {
+	if n := len(v.free); n > 0 {
+		tk := v.free[n-1]
+		v.free = v.free[:n-1]
+		return tk
+	}
+	return NewTicket()
+}
+
+// waitLocked blocks a goroutine outside the coroutines, mu released,
+// until the turn arrives on tk, then frees tk.
+func (v *Virtual) waitLocked(tk Ticket) {
+	v.mu.Unlock()
+	<-tk.ch
 	v.mu.Lock()
 	v.free = append(v.free, tk)
+}
+
+// yieldLocked gives up the turn held by coroutine co and returns, mu
+// released, once co holds it again.
+func (v *Virtual) yieldLocked(co *coro) {
+	v.running--
+	v.cur = nil
+	v.handOffLocked(true)
+	if v.cur == co { // the turn came straight back
+		v.next = nil
+		v.mu.Unlock()
+		return
+	}
 	v.mu.Unlock()
+	co.yield(struct{}{})
+}
+
+// dispatch resumes coroutines on the calling goroutine for as long as the
+// turn passes from one coroutine to the next, starting with co.
+func (v *Virtual) dispatch(co *coro) {
+	for co != nil {
+		_, alive := co.resume()
+		v.mu.Lock()
+		if !alive {
+			v.cur = nil
+			v.running--
+			v.handOffLocked(true)
+		}
+		co, v.next = v.next, nil
+		wake := v.wake
+		v.wake = nil
+		v.mu.Unlock()
+		if wake != nil {
+			wake <- struct{}{}
+		}
+	}
 }
 
 // handOffLocked passes the turn on once nobody is running: to the head of
 // the run queue, or, when that is empty, to the sleepers due at the
-// earliest deadline after time jumps there.
-func (v *Virtual) handOffLocked() {
+// earliest deadline after time jumps there. fromCoro reports that the
+// caller runs under a dispatcher, as a yielding coroutine or the
+// dispatcher itself; the dispatcher then delivers the turn once the
+// coroutine has yielded. Otherwise a turn for a coroutine starts a
+// dispatcher, and a turn for a channel waiter is sent at once.
+func (v *Virtual) handOffLocked(fromCoro bool) {
 	if v.running != 0 {
 		return
 	}
@@ -188,7 +290,20 @@ func (v *Virtual) handOffLocked() {
 		v.runq, v.head = v.runq[:0], 0
 	}
 	v.running = 1
-	tk <- struct{}{}
+	switch co := tk.co; {
+	case co != nil:
+		tk.co = nil
+		v.cur = co
+		if fromCoro {
+			v.next = co
+		} else {
+			go v.dispatch(co)
+		}
+	case fromCoro:
+		v.wake = tk.ch
+	default:
+		tk.ch <- struct{}{}
+	}
 }
 
 // push and pop maintain the sleeper heap.

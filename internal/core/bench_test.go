@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -77,5 +78,20 @@ func BenchmarkNotePutMax(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.NotePut(putConn)
+	}
+}
+
+// BenchmarkTrendlineAdd measures one sample into a full 64-sample window
+// (the AIMD estimator's default), where every Add refits the whole
+// window.
+func BenchmarkTrendlineAdd(b *testing.B) {
+	tr := NewTrendline(time.Hour, 64, 0.5, 0.05)
+	for i := 0; i < 64; i++ {
+		tr.Add(time.Duration(i)*time.Millisecond, float64(50+i%7))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Add(time.Duration(64+i)*time.Millisecond, float64(50+i%7))
 	}
 }

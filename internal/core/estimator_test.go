@@ -604,3 +604,41 @@ func TestEstimatorConcurrentState(t *testing.T) {
 	}
 	<-done
 }
+
+// TestTrendlineMatchesDirectFit: the fit equals, bit for bit, a direct
+// least-squares fit over the window in time order, however far the ring
+// has wrapped and pruned.
+func TestTrendlineMatchesDirectFit(t *testing.T) {
+	tr := NewTrendline(300*time.Millisecond, 16, 1, 0.05)
+	var at []time.Duration
+	var vs []float64
+	now := time.Duration(0)
+	for i := 0; i < 500; i++ {
+		now += time.Duration(1+(i*37)%29) * time.Millisecond
+		v := 40 + float64((i*13)%17)
+		tr.Add(now, v)
+		at, vs = append(at, now), append(vs, v)
+		for len(at) > 16 || now-at[0] > 300*time.Millisecond {
+			at, vs = at[1:], vs[1:]
+		}
+		if len(at) < 3 {
+			continue
+		}
+		var sumT, sumV float64
+		for k := range at {
+			sumT += at[k].Seconds()
+			sumV += vs[k]
+		}
+		n := float64(len(at))
+		meanT, meanV := sumT/n, sumV/n
+		var num, den float64
+		for k := range at {
+			dt := at[k].Seconds() - meanT
+			num += dt * (vs[k] - meanV)
+			den += dt * dt
+		}
+		if got, _ := tr.fitLocked(); got != (num/den)/meanV {
+			t.Fatalf("sample %d: fit %v, direct fit %v", i, got, (num/den)/meanV)
+		}
+	}
+}

@@ -30,10 +30,12 @@ func (t TrendState) String() string {
 	}
 }
 
-// trendSample is one (time, value) point of a Trendline window.
+// trendSample is one (time, value) point of a Trendline window; sec is
+// at in seconds, converted once on Add.
 type trendSample struct {
-	at time.Duration
-	v  float64
+	at  time.Duration
+	sec float64
+	v   float64
 }
 
 // Trendline fits a least-squares line through a bounded window of
@@ -86,23 +88,30 @@ func NewTrendline(window time.Duration, maxCount int, gain, threshold float64) *
 
 // prune drops samples older than the window relative to now.
 func (t *Trendline) prune(now time.Duration) {
-	for t.count > 0 {
-		if now-t.samples[t.head].at <= t.window {
-			return
-		}
-		t.head = (t.head + 1) % len(t.samples)
-		t.count--
+	for t.count > 0 && now-t.samples[t.head].at > t.window {
+		t.advance()
 	}
+}
+
+// advance drops the oldest sample.
+func (t *Trendline) advance() {
+	if t.head++; t.head == len(t.samples) {
+		t.head = 0
+	}
+	t.count--
 }
 
 // Add records one feedback sample and refreshes the smoothed slope.
 func (t *Trendline) Add(now time.Duration, v float64) {
 	t.prune(now)
 	if t.count == len(t.samples) {
-		t.head = (t.head + 1) % len(t.samples)
-		t.count--
+		t.advance()
 	}
-	t.samples[(t.head+t.count)%len(t.samples)] = trendSample{at: now, v: v}
+	i := t.head + t.count
+	if i >= len(t.samples) {
+		i -= len(t.samples)
+	}
+	t.samples[i] = trendSample{at: now, sec: now.Seconds(), v: v}
 	t.count++
 
 	fit, ok := t.fitLocked()
@@ -116,6 +125,16 @@ func (t *Trendline) Add(now time.Duration, v float64) {
 	t.slope += t.gain * (fit - t.slope)
 }
 
+// runs returns the window oldest first, as the ring's two contiguous
+// runs.
+func (t *Trendline) runs() [2][]trendSample {
+	end := t.head + t.count
+	if end <= len(t.samples) {
+		return [2][]trendSample{t.samples[t.head:end]}
+	}
+	return [2][]trendSample{t.samples[t.head:], t.samples[:end-len(t.samples)]}
+}
+
 // fitLocked computes the least-squares slope of the window, normalized
 // by the mean value: fraction of the signal per second. It needs at
 // least three samples spanning non-zero time and a non-zero mean.
@@ -123,11 +142,13 @@ func (t *Trendline) fitLocked() (float64, bool) {
 	if t.count < 3 {
 		return 0, false
 	}
+	runs := t.runs()
 	var sumT, sumV float64
-	for i := 0; i < t.count; i++ {
-		s := t.samples[(t.head+i)%len(t.samples)]
-		sumT += s.at.Seconds()
-		sumV += s.v
+	for _, run := range runs {
+		for _, s := range run {
+			sumT += s.sec
+			sumV += s.v
+		}
 	}
 	n := float64(t.count)
 	meanT, meanV := sumT/n, sumV/n
@@ -135,11 +156,12 @@ func (t *Trendline) fitLocked() (float64, bool) {
 		return 0, false
 	}
 	var num, den float64
-	for i := 0; i < t.count; i++ {
-		s := t.samples[(t.head+i)%len(t.samples)]
-		dt := s.at.Seconds() - meanT
-		num += dt * (s.v - meanV)
-		den += dt * dt
+	for _, run := range runs {
+		for _, s := range run {
+			dt := s.sec - meanT
+			num += dt * (s.v - meanV)
+			den += dt * dt
+		}
 	}
 	if den == 0 {
 		return 0, false

@@ -505,7 +505,8 @@ func DialRemoteConsumerConfig(cfg RemoteDialConfig) (*RemoteConsumer, error) {
 }
 
 // Live metrics and observability (see Options.Metrics, Options.
-// MetricsAddr, Options.SampleEvery, and DESIGN.md §4f).
+// MetricsAddr, and DESIGN.md §4f). Gauges are computed when the
+// registry is gathered.
 type (
 	// MetricsRegistry is the zero-dependency live metrics registry:
 	// atomic counters, gauges, and fixed-bucket histograms, rendered as
@@ -548,9 +549,9 @@ type (
 	// the target per-stage service period it defends, the stages it may
 	// scale, replica caps, hysteresis bands, and host placement weights.
 	ElasticConfig = sched.Config
-	// ControlLoop is a background control goroutine under the runtime's
-	// lifecycle (Options.ControlLoops): spawned by Start, stopped and
-	// joined by Stop/Wait.
+	// ControlLoop builds one periodic duty of the runtime's control loop
+	// (Options.ControlLoops): called once on the loop's first turn, it
+	// returns the duty's period and step, which runs until Stop.
 	ControlLoop = runtime.ControlLoop
 )
 

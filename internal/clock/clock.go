@@ -80,6 +80,35 @@ func (s *Scaled) Sleep(d time.Duration) {
 	s.base.Sleep(time.Duration(float64(d) / s.scale))
 }
 
+// SleepOr sleeps d of c's time unless done closes first, and reports
+// whether done is closed. On a Real clock, and on a Scaled clock over a
+// Real base (for d/scale of real time), the sleep is a timer that done
+// interrupts. On any other clock time moves only through the clock, so
+// SleepOr does a whole c.Sleep(d) and then checks done.
+func SleepOr(c Clock, d time.Duration, done <-chan struct{}) (stopped bool) {
+	switch cc := c.(type) {
+	case *Scaled:
+		return SleepOr(cc.base, time.Duration(float64(d)/cc.scale), done)
+	case *Real:
+		if d > 0 {
+			tm := time.NewTimer(d)
+			defer tm.Stop()
+			select {
+			case <-tm.C:
+			case <-done:
+			}
+		}
+	default:
+		c.Sleep(d)
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Manual is a Clock driven explicitly by tests. Sleepers block until
 // Advance moves the current time past their deadline.
 type Manual struct {

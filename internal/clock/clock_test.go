@@ -132,6 +132,44 @@ func TestManualSleepZeroReturns(t *testing.T) {
 	}
 }
 
+// TestSleepOr: done cuts a sleep short on a real clock and on a scaled
+// one over a real base; a manual clock sleeps the whole duration, and
+// the result reports whether done was closed.
+func TestSleepOr(t *testing.T) {
+	done := make(chan struct{})
+	close(done)
+	for _, c := range []Clock{NewReal(), NewScaled(NewReal(), 20)} {
+		start := time.Now()
+		if !SleepOr(c, time.Hour, done) {
+			t.Fatalf("%T: SleepOr with done closed reported not stopped", c)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("%T: SleepOr took %v with done closed", c, d)
+		}
+	}
+	if SleepOr(NewScaled(NewReal(), 1000), time.Millisecond, make(chan struct{})) {
+		t.Fatal("SleepOr reported stopped with done open")
+	}
+
+	m := NewManual()
+	open := make(chan struct{})
+	res := make(chan bool)
+	go func() { res <- SleepOr(m, time.Second, open) }()
+	for m.Sleepers() != 1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(open) // a manual sleep is not interrupted ...
+	select {
+	case <-res:
+		t.Fatal("SleepOr on a manual clock returned before Advance")
+	case <-time.After(10 * time.Millisecond):
+	}
+	m.Advance(time.Second)
+	if !<-res { // ... but reports done once the clock releases it
+		t.Fatal("SleepOr on a manual clock did not report done after Advance")
+	}
+}
+
 func TestStopwatch(t *testing.T) {
 	m := NewManual()
 	sw := NewStopwatch(m)

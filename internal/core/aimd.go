@@ -274,6 +274,13 @@ func (e *AIMDEstimator) Name() string { return "aimd" }
 func (e *AIMDEstimator) Observe(now time.Duration, conn graph.ConnID, raw, compressed STP) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.haveObs && !e.liveLocked(now) {
+		// Silence outlived the estimate: a damped target must not keep
+		// throttling a producer whose downstream stopped reporting
+		// (died, detached, faded). Drop everything; this feedback
+		// re-initializes.
+		e.resetLocked()
+	}
 	pc := e.perConn[conn]
 	if pc == nil {
 		pc = NewRateStats(e.cfg.Window, e.cfg.MaxSamples)
@@ -291,27 +298,19 @@ func (e *AIMDEstimator) Observe(now time.Duration, conn graph.ConnID, raw, compr
 	e.ctrl.Update(STP(e.vals.Mean(now)), e.trend.State())
 }
 
-// expireLocked discards estimation state when feedback has been silent
-// past the expiry, reporting whether the estimator is (still) live.
-func (e *AIMDEstimator) expireLocked(now time.Duration) bool {
-	if !e.haveObs {
-		return false
-	}
-	if now-e.lastObs <= e.cfg.Expire {
-		return true
-	}
-	// Silence outlived the estimate: a damped target must not keep
-	// throttling a producer whose downstream stopped reporting (died,
-	// detached, faded). Drop everything; the next feedback re-initializes.
-	e.resetLocked()
-	return false
+// liveLocked reports whether feedback arrived within the expiry. Only
+// Observe expires the state; reads (Target, State) test this and change
+// nothing, so whether a reader looked during a silence cannot change
+// what later observations build on.
+func (e *AIMDEstimator) liveLocked(now time.Duration) bool {
+	return e.haveObs && now-e.lastObs <= e.cfg.Expire
 }
 
 // Target implements Estimator.
 func (e *AIMDEstimator) Target(now time.Duration, fallback STP) STP {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.expireLocked(now) {
+	if !e.liveLocked(now) {
 		return fallback
 	}
 	if t := e.ctrl.Target(); t.Known() {
@@ -345,7 +344,7 @@ func (e *AIMDEstimator) State(now time.Duration) EstimatorState {
 		Backoffs: backoffs,
 		Speedups: speedups,
 	}
-	if e.expireLocked(now) {
+	if e.liveLocked(now) {
 		st.Target = e.ctrl.Target()
 		st.Estimate = STP(e.vals.Mean(now))
 		st.FeedbackInterval = e.vals.Interval(now)

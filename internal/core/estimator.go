@@ -25,7 +25,7 @@ import (
 //
 // One Estimator instance belongs to one thread node. Observe and Target
 // are called from the owning thread's goroutine, but State may be called
-// concurrently by snapshot readers (WriteStatus, the metrics sampler),
+// concurrently by snapshot readers (WriteStatus, a metrics gather),
 // so implementations must be safe for concurrent use.
 type Estimator interface {
 	// Name identifies the estimator backend ("raw", "aimd", ...).
@@ -54,7 +54,7 @@ type Estimator interface {
 type EstimatorFactory func() Estimator
 
 // EstimatorState is an estimator's observable state: what WriteStatus
-// prints and the metrics sampler publishes per node.
+// prints and a metrics gather publishes per node.
 type EstimatorState struct {
 	// Name is the estimator backend name.
 	Name string

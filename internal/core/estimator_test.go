@@ -335,6 +335,43 @@ func TestAIMDEstimatorExpiry(t *testing.T) {
 	}
 }
 
+// TestAIMDEstimatorReadsDoNotSteer: whether a reader (a Snapshot, a
+// scrape, a scheduler tick) looks at an estimator during a feedback
+// silence must not change what the next observations build on. Two
+// estimators get the same feed — 40 samples around 50ms, a silence far
+// past Expire, then 5 samples around 120ms — and only one is read in
+// the gap; afterwards both must agree exactly.
+func TestAIMDEstimatorReadsDoNotSteer(t *testing.T) {
+	read := NewAIMDEstimator(AIMDConfig{})
+	unread := NewAIMDEstimator(AIMDConfig{})
+	conn := graph.ConnID(1)
+	feed := func(now time.Duration, v STP) {
+		read.Observe(now, conn, v, v)
+		unread.Observe(now, conn, v, v)
+	}
+	now := time.Duration(0)
+	for i := 0; i < 40; i++ {
+		v := STP(ms(48 + 4*(i%2)))
+		now += v.Duration()
+		feed(now, v)
+	}
+	read.State(now + 8*time.Second) // the only difference: one read in the silence, past Expire
+	now += 10 * time.Second
+	for i := 0; i < 5; i++ {
+		v := STP(ms(118 + 4*(i%2)))
+		now += v.Duration()
+		feed(now, v)
+	}
+	a, b := read.State(now), unread.State(now)
+	if a.Target != b.Target || a.Backoffs != b.Backoffs || a.Speedups != b.Speedups {
+		t.Fatalf("a read during the silence steered the estimator: read target %v (backoffs %d, speedups %d), unread %v (backoffs %d, speedups %d)",
+			a.Target, a.Backoffs, a.Speedups, b.Target, b.Backoffs, b.Speedups)
+	}
+	if fb := STP(ms(1)); read.Target(now, fb) != unread.Target(now, fb) {
+		t.Fatalf("targets differ after the silence: %v vs %v", read.Target(now, fb), unread.Target(now, fb))
+	}
+}
+
 // TestAIMDEstimatorConnEstimate pins the per-connection service-period
 // window: each connection's raw feedback is tracked separately.
 func TestAIMDEstimatorConnEstimate(t *testing.T) {
@@ -588,7 +625,7 @@ func TestControllerRawDefaultUnchanged(t *testing.T) {
 }
 
 // TestEstimatorConcurrentState: State must be callable concurrently with
-// Observe/Target (the snapshot/sampler path) — run with -race.
+// Observe/Target (the snapshot/gather path) — run with -race.
 func TestEstimatorConcurrentState(t *testing.T) {
 	e := NewAIMDEstimator(AIMDConfig{})
 	done := make(chan struct{})

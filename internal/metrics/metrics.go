@@ -20,7 +20,8 @@
 //     one store (or CAS-max) for a gauge, two adds for a histogram
 //     observation. Nothing on the event path allocates or locks.
 //
-// Export is pull-based: Gather snapshots every family, WriteProm renders
+// Export is pull-based: Gather runs the OnGather hooks (which compute
+// gauges on demand) and snapshots every family, WriteProm renders
 // the Prometheus text exposition format, and Snapshot builds the
 // JSON-marshalable form. Both derive from the same atomic reads, so a
 // scrape, a JSON poll, and a status dump can never disagree about a
@@ -267,6 +268,7 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	ordered  []*family
+	onGather []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -480,11 +482,27 @@ func scaled(v int64, scale float64) float64 {
 	return float64(v) * scale
 }
 
-// Gather snapshots every family, name-sorted, series label-sorted. A
-// nil registry gathers nothing.
+// OnGather registers f to run at the start of every Gather, before any
+// series is read, so values that are cheaper to compute than to keep
+// current (occupancy, heartbeat age) are computed when they are read.
+// Hooks run in registration order, without the registry's lock held.
+func (r *Registry) OnGather(f func()) {
+	r.mu.Lock()
+	r.onGather = append(r.onGather, f)
+	r.mu.Unlock()
+}
+
+// Gather runs the OnGather hooks, then snapshots every family,
+// name-sorted, series label-sorted. A nil registry gathers nothing.
 func (r *Registry) Gather() []FamilySnapshot {
 	if r == nil {
 		return nil
+	}
+	r.mu.Lock()
+	hooks := r.onGather
+	r.mu.Unlock()
+	for _, f := range hooks {
+		f()
 	}
 	r.mu.Lock()
 	fams := append([]*family(nil), r.ordered...)

@@ -164,8 +164,8 @@ type Reconnector struct {
 	cfg    DialConfig
 	attach func(*conn) error
 
-	// done is closed by Close so backoff sleeps on a real clock abort
-	// promptly instead of running out their delay.
+	// done is closed by Close so backoff sleeps on a real (or real-based
+	// scaled) clock abort promptly instead of running out their delay.
 	done chan struct{}
 
 	mu         sync.Mutex
@@ -275,24 +275,15 @@ func (r *Reconnector) invalidate(c *conn) {
 }
 
 // sleepBackoff sleeps the n-th redial delay on the configured clock. On
-// a real clock the sleep aborts as soon as Close fires; fake clocks are
-// test-driven and release their sleepers explicitly.
+// a real (or real-based scaled) clock the sleep aborts as soon as Close
+// fires; fake clocks are test-driven and release their sleepers
+// explicitly.
 func (r *Reconnector) sleepBackoff(n int) {
 	r.cfg.Instruments.Redials.Inc()
 	r.mu.Lock()
 	u := r.rng.Float64()
 	r.mu.Unlock()
-	d := r.cfg.Backoff.Delay(n, u)
-	if _, isReal := r.cfg.Clock.(*clock.Real); isReal {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-r.done:
-		}
-		return
-	}
-	r.cfg.Clock.Sleep(d)
+	clock.SleepOr(r.cfg.Clock, r.cfg.Backoff.Delay(n, u), r.done)
 }
 
 // noteWireErr records the instrument-visible class of a wire failure.

@@ -25,7 +25,7 @@ type drainPipe struct {
 
 func buildDrainPipe(t *testing.T, items int, sinkCost time.Duration) *drainPipe {
 	t.Helper()
-	p := &drainPipe{rt: New(Options{SampleEvery: -1})}
+	p := &drainPipe{rt: New(Options{})}
 	q := p.rt.MustAddQueue("Q", 0)
 	src := p.rt.MustAddThread("src", 0, func(ctx *Ctx) error {
 		out := ctx.Outs()[0]
@@ -103,7 +103,7 @@ func TestDrainFlushesBacklogZeroShed(t *testing.T) {
 // ErrDraining (not a silent drop, not ErrShutdown) — and the rejected
 // item never enters the ledger.
 func TestDrainQuiescedSourcePutReturnsErrDraining(t *testing.T) {
-	rt := New(Options{SampleEvery: -1})
+	rt := New(Options{})
 	q := rt.MustAddQueue("Q", 0)
 	var putErr atomic.Value
 	src := rt.MustAddThread("src", 0, func(ctx *Ctx) error {
@@ -220,7 +220,7 @@ func TestDrainAfterStop(t *testing.T) {
 // produced == delivered + shed, whichever call wins.
 func TestDrainStopWaitHammer(t *testing.T) {
 	for round := 0; round < 5; round++ {
-		rt := New(Options{SampleEvery: -1})
+		rt := New(Options{})
 		q := rt.MustAddQueue("Q", 0)
 		var produced, delivered atomic.Int64
 		src := rt.MustAddThread("src", 0, func(ctx *Ctx) error {
@@ -285,7 +285,7 @@ func TestDrainStopWaitHammer(t *testing.T) {
 // abandoned, and a body exiting with ErrDraining is a clean stop (no
 // failure, no restart), exactly like ErrShutdown.
 func TestDrainSuppressesRestarts(t *testing.T) {
-	rt := New(Options{SampleEvery: -1})
+	rt := New(Options{})
 	q := rt.MustAddQueue("Q", 0)
 	feeder := rt.MustAddThread("feeder", 0, func(ctx *Ctx) error {
 		for !ctx.Stopped() {
@@ -321,7 +321,7 @@ func TestDrainSuppressesRestarts(t *testing.T) {
 
 	// White-box: with the draining flag up, the restart scheduler
 	// refuses outright even with budget to spare.
-	rt2 := New(Options{SampleEvery: -1})
+	rt2 := New(Options{})
 	th2 := rt2.MustAddThread("w2", 0, func(ctx *Ctx) error { return nil },
 		WithRestartOnFailure(RestartPolicy{MaxRestarts: 5}))
 	rt2.draining.Store(true)

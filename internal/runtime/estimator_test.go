@@ -19,10 +19,9 @@ func estimatorChain(t *testing.T, reg *metrics.Registry, sinkPeriod time.Duratio
 	t.Helper()
 	cfg := core.DefaultAIMDConfig()
 	rt := New(Options{
-		Clock:       fastClock(),
-		ARU:         core.PolicyMin().WithEstimator(core.AIMDFactory(cfg)),
-		Metrics:     reg,
-		SampleEvery: -1,
+		Clock:   fastClock(),
+		ARU:     core.PolicyMin().WithEstimator(core.AIMDFactory(cfg)),
+		Metrics: reg,
 	})
 	c1 := rt.MustAddChannel("C1", 0)
 	src := rt.MustAddThread("src", 0, func(ctx *Ctx) error {
@@ -177,10 +176,9 @@ func TestRuntimeEstimatorMetricsPublish(t *testing.T) {
 func TestTenantLabelsExposition(t *testing.T) {
 	reg := metrics.NewRegistry()
 	rt := New(Options{
-		Clock:       fastClock(),
-		ARU:         core.PolicyMin(),
-		Metrics:     reg,
-		SampleEvery: -1,
+		Clock:   fastClock(),
+		ARU:     core.PolicyMin(),
+		Metrics: reg,
 	})
 	tagged := rt.MustAddChannel("C-acme", 0, WithTenant("acme"))
 	plain := rt.MustAddChannel("C-plain", 0)

@@ -56,18 +56,16 @@ func (rt *Runtime) MetricsAddr() string {
 	return rt.httpLn.Addr().String()
 }
 
-// handleProm serves the Prometheus text exposition format. The scrape
-// takes a fresh Snapshot first, so gauge families are current even if
-// the periodic sampler has not fired since the last change.
+// handleProm serves the Prometheus text exposition format. The
+// registry's gather takes a fresh Snapshot first (the hook Start
+// registers), so gauge families are current.
 func (rt *Runtime) handleProm(w http.ResponseWriter, _ *http.Request) {
-	rt.Snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	rt.opts.Metrics.WriteProm(w)
 }
 
 // handleMetricsJSON serves the same registry gather as JSON.
 func (rt *Runtime) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	rt.Snapshot()
 	w.Header().Set("Content-Type", "application/json")
 	rt.opts.Metrics.WriteJSON(w)
 }

@@ -1,7 +1,7 @@
 // Live metrics instrumentation of the runtime layer: per-thread
 // supervision and iteration counters, per-buffer consumption counters,
-// and the sampler-refreshed gauge families (STP, occupancy, heartbeat
-// age).
+// and the gauge families computed at gather time (STP, occupancy,
+// heartbeat age).
 //
 // The registration/increment split mirrors package metrics' contract:
 // every handle below is resolved once at Start (the cold path, where
@@ -27,7 +27,7 @@ import (
 // families carry {node="<name>"}, buffer families {buffer="<name>"},
 // thread families {thread="<name>"}.
 const (
-	// Sampler-refreshed gauges.
+	// Gauges computed at gather time.
 	MetricBufferItems   = "aru_buffer_items"
 	MetricBufferBytes   = "aru_buffer_bytes"
 	MetricNodeCurrent   = "aru_node_current_stp_seconds"
@@ -78,11 +78,11 @@ type threadInstruments struct {
 	failures      *metrics.Counter
 	stallEpisodes *metrics.Counter
 	faded         *metrics.Counter
-	heartbeatAge  *metrics.Gauge // sampler-refreshed
-	stalled       *metrics.Gauge // sampler-refreshed
+	heartbeatAge  *metrics.Gauge // set by publish
+	stalled       *metrics.Gauge // set by publish
 }
 
-// nodeInstruments holds one task-graph node's sampler-refreshed ARU
+// nodeInstruments holds one task-graph node's publish-refreshed ARU
 // gauges plus the degraded-transition counter.
 type nodeInstruments struct {
 	current    *metrics.Gauge
@@ -111,7 +111,7 @@ type nodeInstruments struct {
 	lastSpeed   atomic.Uint64
 }
 
-// bufferInstruments holds one buffer's sampler-refreshed occupancy
+// bufferInstruments holds one buffer's publish-refreshed occupancy
 // gauges.
 type bufferInstruments struct {
 	items *metrics.Gauge
@@ -191,13 +191,17 @@ func (rt *Runtime) registerInstrumentsLocked() {
 			p.mPeerFailed = reg.Counter(MetricPeerFailed, "Operations woken by total peer failure (ErrPeerFailed).", tenantLabels("buffer", p.ref.name, p.ref.tenant))
 		}
 	}
+	// The gauge-class families (occupancy, STP, heartbeat age) are
+	// computed when the registry is read: every Gather takes a Snapshot
+	// first.
+	reg.OnGather(func() { rt.Snapshot() })
 }
 
 // registerThreadInstruments resolves one thread's supervision and
 // iteration handles and publishes the thread to threadByName. Called at
 // Start for every declared thread and from SpawnReplica for elastic
 // replicas (whose names are unique per slot) — the map insert is
-// instMu-guarded because replicas register while the sampler is live.
+// instMu-guarded because replicas register while Snapshot may publish.
 // Port instruments are not touched here: a replica shares its primary's
 // ports, whose handles were resolved at Start. No-op when metrics are
 // disabled.
@@ -263,7 +267,7 @@ func setSTPGauge(g *metrics.Gauge, s core.STP) {
 	}
 }
 
-// publish refreshes the sampler-owned gauge families from a snapshot.
+// publish refreshes the gather-time gauge families from a snapshot.
 // No-op when metrics are disabled. Counters are event-incremented
 // elsewhere; only gauges (point-in-time values) are written here, so
 // concurrent publishes are harmless last-writer-wins races on values

@@ -20,16 +20,38 @@ import (
 	"repro/internal/vt"
 )
 
-// TestSamplerManualClockPinned pins the periodic sampler's exact
-// schedule on a manual clock: one Snapshot per SampleEvery tick, gauge
-// families refreshed from it deterministically. An idle thread never
-// Syncs, so its heartbeat-age gauge must read exactly the advanced time
-// — 1s after one tick, 2s after two — and the buffer occupancy gauge
-// must show the single buffered item.
-func TestSamplerManualClockPinned(t *testing.T) {
+// gatheredValue returns the value of the series of family name whose
+// labels include ls, from one registry gather.
+func gatheredValue(t *testing.T, fams []metrics.FamilySnapshot, name string, ls metrics.Labels) float64 {
+	t.Helper()
+	for _, f := range fams {
+		if f.Name != name {
+			continue
+		}
+	series:
+		for _, s := range f.Series {
+			for k, v := range ls {
+				if s.Labels[k] != v {
+					continue series
+				}
+			}
+			return float64(s.Value)
+		}
+	}
+	t.Fatalf("no series %s%v in the gather", name, ls)
+	return 0
+}
+
+// TestGatherManualClockPinned pins gather-time gauges on a manual
+// clock. With metrics on and no stall TTL nothing runs in the
+// background (no clock sleeper), and each Gather takes a Snapshot
+// first: an idle thread never Syncs, so its heartbeat age reads exactly
+// the advanced time — 1s, then 2s — and the buffer occupancy shows the
+// single buffered item.
+func TestGatherManualClockPinned(t *testing.T) {
 	clk := clock.NewManual()
 	reg := metrics.NewRegistry()
-	rt := New(Options{Clock: clk, ARU: core.PolicyOff(), Metrics: reg, SampleEvery: time.Second})
+	rt := New(Options{Clock: clk, ARU: core.PolicyOff(), Metrics: reg})
 	ch := rt.MustAddChannel("C", 0)
 
 	putDone := make(chan struct{})
@@ -55,64 +77,48 @@ func TestSamplerManualClockPinned(t *testing.T) {
 	}
 	<-putDone
 	<-consUp
-
-	items := reg.Gauge(MetricBufferItems, "", metrics.Labels{"buffer": "C"})
-	bytes := reg.Gauge(MetricBufferBytes, "", metrics.Labels{"buffer": "C"})
-	age := reg.DurationGauge(MetricHeartbeatAge, "", metrics.Labels{"thread": "idle-cons"})
-	stalled := reg.Gauge(MetricThreadStalled, "", metrics.Labels{"thread": "idle-cons"})
-
-	// Before the first tick nothing has sampled: the gauges still hold
-	// their registration zero.
-	waitManualSleepers(t, clk, 1) // the sampler is the only clock sleeper
-	if items.Value() != 0 {
-		t.Fatalf("buffer items gauge = %d before the first sample, want 0", items.Value())
+	if n := clk.Sleepers(); n != 0 {
+		t.Fatalf("%d clock sleepers with metrics on and no TTL, want 0", n)
 	}
 
-	// Tick 1: Advance removes the sampler from the waiter list, and it
-	// reappears (Sleepers back to 1) only after its Snapshot completed —
-	// so the gauge reads below are race-free and exact.
+	buf := metrics.Labels{"buffer": "C"}
+	idle := metrics.Labels{"thread": "idle-cons"}
 	clk.Advance(time.Second)
-	waitManualSleepers(t, clk, 1)
-	if items.Value() != 1 || bytes.Value() != 64 {
-		t.Errorf("occupancy gauges after tick 1 = %d items/%d bytes, want 1/64", items.Value(), bytes.Value())
+	fams := reg.Gather()
+	if items, bytes := gatheredValue(t, fams, MetricBufferItems, buf), gatheredValue(t, fams, MetricBufferBytes, buf); items != 1 || bytes != 64 {
+		t.Errorf("occupancy after 1s = %v items/%v bytes, want 1/64", items, bytes)
 	}
-	if age.Value() != int64(time.Second) {
-		t.Errorf("heartbeat age after tick 1 = %v, want exactly 1s", time.Duration(age.Value()))
+	if age := gatheredValue(t, fams, MetricHeartbeatAge, idle); age != 1 {
+		t.Errorf("heartbeat age after 1s = %vs, want exactly 1s", age)
 	}
-	if stalled.Value() != 0 {
-		t.Errorf("stalled gauge = %d, want 0", stalled.Value())
+	if stalled := gatheredValue(t, fams, MetricThreadStalled, idle); stalled != 0 {
+		t.Errorf("stalled gauge = %v, want 0", stalled)
 	}
 
-	// Tick 2: the idle thread still has not Synced, so its age is
-	// exactly the total advanced time.
 	clk.Advance(time.Second)
-	waitManualSleepers(t, clk, 1)
-	if age.Value() != int64(2*time.Second) {
-		t.Errorf("heartbeat age after tick 2 = %v, want exactly 2s", time.Duration(age.Value()))
+	if age := gatheredValue(t, reg.Gather(), MetricHeartbeatAge, idle); age != 2 {
+		t.Errorf("heartbeat age after 2s = %vs, want exactly 2s", age)
 	}
 
 	// The buffer layer's own counters were event-incremented, not
-	// sampler-driven: the put was counted when it happened.
-	if puts := reg.Counter(buffer.MetricPuts, "", metrics.Labels{"buffer": "C"}); puts.Value() != 1 {
+	// gather-driven: the put was counted when it happened.
+	if puts := reg.Counter(buffer.MetricPuts, "", buf); puts.Value() != 1 {
 		t.Errorf("puts counter = %d, want 1", puts.Value())
 	}
 
-	// Stop does not join rt.wg (Wait does); the sampler is parked in
-	// Manual.Sleep and needs one more tick to observe stopCh.
 	rt.Stop()
-	clk.Advance(time.Second)
 	if err := rt.Wait(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestSamplerDisabled checks SampleEvery < 0: no sampler goroutine is
-// spawned (nothing ever sleeps on the clock), while on-demand Snapshot
-// still refreshes the gauge families.
-func TestSamplerDisabled(t *testing.T) {
+// TestSnapshotNoParticipant: with metrics on, neither Start nor an
+// on-demand Snapshot starts a background participant (nothing ever
+// sleeps on the clock), and the Snapshot refreshes the gauge families.
+func TestSnapshotNoParticipant(t *testing.T) {
 	clk := clock.NewManual()
 	reg := metrics.NewRegistry()
-	rt := New(Options{Clock: clk, ARU: core.PolicyOff(), Metrics: reg, SampleEvery: -1})
+	rt := New(Options{Clock: clk, ARU: core.PolicyOff(), Metrics: reg})
 	ch := rt.MustAddChannel("C", 0)
 
 	putDone := make(chan struct{})
@@ -135,17 +141,17 @@ func TestSamplerDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-putDone
-	if n := clk.Sleepers(); n != 0 {
-		t.Fatalf("%d clock sleepers with the sampler disabled, want 0", n)
-	}
 
 	items := reg.Gauge(MetricBufferItems, "", metrics.Labels{"buffer": "C"})
 	if items.Value() != 0 {
-		t.Fatalf("gauge moved without a sampler or Snapshot: %d", items.Value())
+		t.Fatalf("gauge moved without a Snapshot or a gather: %d", items.Value())
 	}
-	rt.Snapshot() // on-demand refresh still works
+	rt.Snapshot()
 	if items.Value() != 1 {
 		t.Fatalf("on-demand Snapshot did not publish: items = %d, want 1", items.Value())
+	}
+	if n := clk.Sleepers(); n != 0 {
+		t.Fatalf("%d clock sleepers after Start and Snapshot, want 0", n)
 	}
 
 	rt.Stop()
@@ -266,7 +272,6 @@ func TestMetricsHTTPEndpoint(t *testing.T) {
 		Clock:       clock.NewReal(),
 		ARU:         core.PolicyOff(),
 		MetricsAddr: "127.0.0.1:0",
-		SampleEvery: -1,
 	})
 	ch := rt.MustAddQueue("C", 0) // FIFO: every one of the n puts is consumed
 	const n = 3
@@ -327,9 +332,8 @@ func TestMetricsHTTPEndpoint(t *testing.T) {
 		return string(body), resp
 	}
 
-	// /metrics: Prometheus text, correct version header, and the scrape
-	// refreshed its own Snapshot so gauge families are current without a
-	// sampler.
+	// /metrics: Prometheus text, correct version header, and the
+	// scrape's gather took a Snapshot so gauge families are current.
 	prom, resp := get("/metrics")
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Errorf("/metrics Content-Type = %q, want the 0.0.4 text format", ct)
@@ -562,17 +566,16 @@ func TestChaosStatusHammer(t *testing.T) {
 	}
 }
 
-// allocMetricsRuntime is allocRuntime with live metrics enabled and the
-// background sampler disabled — AllocsPerRun counts process-wide
-// mallocs, so a concurrent sampler would poison the pin. This is the
+// allocMetricsRuntime is allocRuntime with live metrics enabled. No
+// background participant runs — AllocsPerRun counts process-wide
+// mallocs, so a concurrent one would poison the pin. This is the
 // metrics-ON half of the hot-path claim: every enabled event is a fixed
 // number of atomic ops, zero allocations.
 func allocMetricsRuntime() *Runtime {
 	return New(Options{
-		Clock:       clock.NewReal(),
-		ARU:         core.PolicyOff(),
-		Metrics:     metrics.NewRegistry(),
-		SampleEvery: -1,
+		Clock:   clock.NewReal(),
+		ARU:     core.PolicyOff(),
+		Metrics: metrics.NewRegistry(),
 	})
 }
 

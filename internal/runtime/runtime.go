@@ -65,12 +65,9 @@ type Options struct {
 	// the TTL is flagged stalled in Health and WriteStatus. Per-thread
 	// WithStallTTL overrides the runtime-wide value.
 	StallTTL time.Duration
-	// StallCheckEvery is the watchdog sweep interval; zero derives a
-	// quarter of the smallest TTL in use.
-	StallCheckEvery time.Duration
 	// OnStall, if non-nil, is called once per stall episode with the
-	// thread's name and heartbeat age. It runs on the watchdog
-	// goroutine; keep it fast.
+	// thread's name and heartbeat age. It runs on the runtime's
+	// control loop, ahead of the ControlLoops duties; keep it fast.
 	OnStall func(thread string, age time.Duration)
 	// Metrics, when non-nil, enables the live metrics registry: the
 	// controller, buffer, remote, and supervision layers register their
@@ -85,27 +82,24 @@ type Options struct {
 	// /metrics.json, /status (WriteStatus), /health (JSON). Setting it
 	// implies metrics: New creates a registry when Metrics is nil.
 	MetricsAddr string
-	// SampleEvery is the periodic sampler interval refreshing the
-	// gauge-class families (occupancy, STP, heartbeat age). Zero means
-	// DefaultSampleEvery when metrics are enabled; negative disables the
-	// sampler goroutine (Snapshot and scrapes still refresh on demand).
-	SampleEvery time.Duration
-	// ControlLoops are background control goroutines Start spawns
-	// alongside the stall watchdog and the metrics sampler: each runs
-	// until stop closes and is joined by Wait (wg- and clock-registrar-
-	// accounted exactly like the built-in loops). The elastic scheduler
+	// ControlLoops are periodic control duties run by the runtime's one
+	// control loop, after the stall watchdog's sweep and in slice order
+	// at any instant where several are due. The loop is a participant
+	// Start spawns when the watchdog or some duty is active; it runs
+	// until Stop and is joined by Wait. The elastic scheduler
 	// (internal/sched, installed via the facade's WithElastic) plugs in
 	// through this hook; the runtime core stays policy-free. Empty (the
-	// default) spawns nothing.
+	// default) adds nothing.
 	ControlLoops []ControlLoop
 }
 
-// ControlLoop is one long-lived background goroutine under the
-// runtime's lifecycle (Options.ControlLoops): spawned by Start, told to
-// exit when stop closes, joined by Wait. It may call any concurrency-
-// safe Runtime method — Snapshot for sensing, SpawnReplica and
-// RetireReplica for actuation.
-type ControlLoop func(rt *Runtime, stop <-chan struct{})
+// ControlLoop builds one periodic duty of the runtime's control loop
+// (Options.ControlLoops). The runtime calls it once, on the loop's
+// first turn, and then runs step once every period until Stop; a
+// non-positive period or a nil step drops the duty. The step may call
+// any concurrency-safe Runtime method — Snapshot for sensing,
+// SpawnReplica and RetireReplica for actuation.
+type ControlLoop func(rt *Runtime) (every time.Duration, step func())
 
 // Runtime is one Stampede application instance.
 type Runtime struct {
@@ -143,7 +137,7 @@ type Runtime struct {
 
 	// failures collects every permanent thread failure (no cap, no
 	// drops); Wait joins and reports them. stopCh is closed by Stop so
-	// long-lived supervision goroutines (the stall watchdog) terminate.
+	// the control loop terminates.
 	failMu   sync.Mutex
 	failures []error
 	waitOnce sync.Once
@@ -162,7 +156,7 @@ type Runtime struct {
 	mDraining   *metrics.Gauge
 
 	// Live-metrics state: the node/buffer instrument maps are resolved at
-	// Start (immutable afterwards; read lock-free by the sampler), while
+	// Start (immutable afterwards; read lock-free by publish), while
 	// threadByName also admits elastic replicas after Start and is
 	// guarded by instMu. httpLn/httpSrv are the opt-in observability HTTP
 	// server.
@@ -596,14 +590,8 @@ func (rt *Runtime) Start() error {
 		th.prepare()
 		rt.spawn(th.supervise)
 	}
-	if every, enabled := rt.watchdogPlan(); enabled {
-		rt.spawn(func() { rt.watchdog(every) })
-	}
-	if every, enabled := rt.samplePlan(); enabled {
-		rt.spawn(func() { rt.sampler(every) })
-	}
-	for _, cl := range rt.opts.ControlLoops {
-		rt.spawn(func() { cl(rt, rt.stopCh) })
+	if every := rt.watchdogEvery(); every > 0 || len(rt.opts.ControlLoops) > 0 {
+		rt.spawn(func() { rt.control(every) })
 	}
 	return nil
 }

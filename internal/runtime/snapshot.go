@@ -1,8 +1,8 @@
 // Runtime.Snapshot: the single consistent point-in-time view every
-// presentation layer derives from. WriteStatus (text), the HTTP JSON
-// and Prometheus endpoints, and the periodic sampler all call Snapshot,
-// so the three outputs can never disagree about what the runtime looked
-// like — they are renderings of one struct.
+// presentation layer derives from. WriteStatus (text) calls Snapshot,
+// and so does every gather of the metrics registry (the HTTP JSON and
+// Prometheus endpoints), so the outputs can never disagree about what
+// the runtime looked like — they are renderings of one struct.
 //
 // Snapshot also fixes the WriteStatus lock-order hazard: the node/
 // buffer pairs are collected under rt.mu, the lock is released, and
@@ -14,14 +14,9 @@ import (
 	"time"
 
 	"repro/internal/buffer"
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
-
-// DefaultSampleEvery is the periodic sampler interval applied when
-// Options.SampleEvery is zero and metrics are enabled.
-const DefaultSampleEvery = time.Second
 
 // NodeStatus is one node's ARU state in a snapshot, extending the
 // controller's view with the staleness flag.
@@ -65,7 +60,7 @@ type BufferStatus struct {
 // Snapshot is the consistent point-in-time view of a running
 // application: controller state, buffer occupancy, and thread health,
 // all collected by one call. WriteStatus, the HTTP endpoints, and the
-// periodic sampler are renderings of this struct.
+// metrics registry's gauges are renderings of this struct.
 type Snapshot struct {
 	// At is the runtime-clock reading when the snapshot was taken.
 	At time.Duration
@@ -145,48 +140,4 @@ func (rt *Runtime) Snapshot() Snapshot {
 	snap.Replicas = rt.ReplicaCounts()
 	rt.publish(snap)
 	return snap
-}
-
-// samplePlan decides whether the periodic sampler should run and at
-// what interval: enabled when metrics are on and SampleEvery is not
-// negative; zero defaults to DefaultSampleEvery.
-func (rt *Runtime) samplePlan() (time.Duration, bool) {
-	if rt.opts.Metrics == nil || rt.opts.SampleEvery < 0 {
-		return 0, false
-	}
-	every := rt.opts.SampleEvery
-	if every == 0 {
-		every = DefaultSampleEvery
-	}
-	return every, true
-}
-
-// sampler periodically refreshes the gauge-class metric families
-// (occupancy, STP, heartbeat age) by taking a Snapshot. It is
-// clock-aware exactly like the stall watchdog: on a real clock the
-// sleep aborts promptly when Stop fires; on fake and virtual clocks the
-// interval is test-driven through the clock itself, so fake-clock tests
-// pin the exact sampling schedule.
-func (rt *Runtime) sampler(every time.Duration) {
-	_, isReal := rt.clk.(*clock.Real)
-	for {
-		if isReal {
-			tm := time.NewTimer(every)
-			select {
-			case <-tm.C:
-			case <-rt.stopCh:
-				tm.Stop()
-				return
-			}
-			tm.Stop()
-		} else {
-			rt.clk.Sleep(every)
-			select {
-			case <-rt.stopCh:
-				return
-			default:
-			}
-		}
-		rt.Snapshot()
-	}
 }

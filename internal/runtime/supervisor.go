@@ -314,8 +314,9 @@ func (t *Thread) supervise() {
 			return
 		}
 		t.setState(StateRestarting)
-		t.sleepRestart(delay)
-		if t.stopRequested() || t.rt.draining.Load() {
+		// The backoff sleep ends early when Stop fires on a real (or
+		// real-based scaled) clock; other clocks release it themselves.
+		if clock.SleepOr(t.rt.clk, delay, t.stop) || t.rt.draining.Load() {
 			// Drain is a terminal lifecycle phase: a restart granted
 			// before it began is abandoned, never resumed mid-flush.
 			t.setState(StateStopped)
@@ -370,26 +371,6 @@ func (t *Thread) nextRestartDelay(f *ThreadFailure) (time.Duration, bool) {
 	// n doubles as the backoff attempt index: pruning old restarts out
 	// of the window also resets the schedule after a quiet period.
 	return t.restart.Backoff.Delay(n, t.rng.Float64()), true
-}
-
-// sleepRestart sleeps the backoff delay on the runtime clock. On a real
-// clock the sleep aborts as soon as Stop fires; fake and virtual clocks
-// are test- or event-driven and release their sleepers through the
-// clock itself.
-func (t *Thread) sleepRestart(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if _, isReal := t.rt.clk.(*clock.Real); isReal {
-		tm := time.NewTimer(d)
-		defer tm.Stop()
-		select {
-		case <-tm.C:
-		case <-t.stop:
-		}
-		return
-	}
-	t.rt.clk.Sleep(d)
 }
 
 // failPermanently propagates a thread's permanent failure: the error is
@@ -448,11 +429,11 @@ func (rt *Runtime) recordFailure(err error) {
 	rt.failMu.Unlock()
 }
 
-// watchdogPlan decides whether the stall watchdog should run and at
-// what interval: enabled when Options.StallTTL is set or any thread
-// carries a per-thread TTL; the check interval defaults to a quarter of
-// the smallest TTL.
-func (rt *Runtime) watchdogPlan() (time.Duration, bool) {
+// watchdogEvery returns the stall watchdog's sweep period, zero when
+// no TTL is in use: Options.StallTTL is unset and no thread carries
+// WithStallTTL. The period is a quarter of the smallest TTL, at least
+// 1ms.
+func (rt *Runtime) watchdogEvery() time.Duration {
 	minTTL := rt.opts.StallTTL
 	for _, t := range rt.threads {
 		if t.stallTTL > 0 && (minTTL <= 0 || t.stallTTL < minTTL) {
@@ -460,43 +441,57 @@ func (rt *Runtime) watchdogPlan() (time.Duration, bool) {
 		}
 	}
 	if minTTL <= 0 {
-		return 0, false
+		return 0
 	}
-	every := rt.opts.StallCheckEvery
-	if every <= 0 {
-		every = minTTL / 4
-		if every <= 0 {
-			every = time.Millisecond
-		}
-	}
-	return every, true
+	return max(minTTL/4, time.Millisecond)
 }
 
-// watchdog periodically compares each running thread's heartbeat age
-// against its stall TTL, maintaining the Stalled flag surfaced by
-// Health/WriteStatus and firing OnStall once per stall episode. It runs
-// until Stop.
-func (rt *Runtime) watchdog(every time.Duration) {
-	_, isReal := rt.clk.(*clock.Real)
+// duty is one periodic step of the control loop.
+type duty struct {
+	every, next time.Duration
+	step        func()
+}
+
+// control is the runtime's one background participant: the stall
+// watchdog's sweep (when watchdog is positive) and then each
+// Options.ControlLoops duty, in slice order, each once per its period,
+// sleeping until the earliest deadline between rounds. Duties due at
+// the same instant run in that order. A step that overruns its period
+// skips the ticks it missed rather than firing back to back; on the
+// virtual and manual clocks steps take no clock time, so one duty
+// sleeps exactly its period each round. It runs until Stop.
+func (rt *Runtime) control(watchdog time.Duration) {
+	var duties []duty
+	if watchdog > 0 {
+		duties = append(duties, duty{every: watchdog, step: rt.checkStalls})
+	}
+	for _, cl := range rt.opts.ControlLoops {
+		if every, step := cl(rt); every > 0 && step != nil {
+			duties = append(duties, duty{every: every, step: step})
+		}
+	}
+	if len(duties) == 0 {
+		return
+	}
+	now := rt.clk.Now()
+	for i := range duties {
+		duties[i].next = now + duties[i].every
+	}
 	for {
-		if isReal {
-			tm := time.NewTimer(every)
-			select {
-			case <-tm.C:
-			case <-rt.stopCh:
-				tm.Stop()
-				return
-			}
-			tm.Stop()
-		} else {
-			rt.clk.Sleep(every)
-			select {
-			case <-rt.stopCh:
-				return
-			default:
+		next := duties[0].next
+		for _, d := range duties[1:] {
+			next = min(next, d.next)
+		}
+		if clock.SleepOr(rt.clk, next-rt.clk.Now(), rt.stopCh) {
+			return
+		}
+		now := rt.clk.Now()
+		for i := range duties {
+			if d := &duties[i]; d.next <= now {
+				d.step()
+				d.next += d.every * ((rt.clk.Now()-d.next)/d.every + 1)
 			}
 		}
-		rt.checkStalls()
 	}
 }
 

@@ -114,10 +114,9 @@ func TestRingAutoUpgradeFromGeneratedShape(t *testing.T) {
 		},
 	}
 	r, err := build(spec, rt.Options{
-		Clock:       clock.NewVirtual(),
-		Recorder:    trace.NewRecorder(),
-		ARU:         core.PolicyMin(),
-		SampleEvery: -1,
+		Clock:    clock.NewVirtual(),
+		Recorder: trace.NewRecorder(),
+		ARU:      core.PolicyMin(),
 	})
 	if err != nil {
 		t.Fatal(err)

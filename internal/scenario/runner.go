@@ -25,8 +25,8 @@ type RunConfig struct {
 	// Estimator is "raw" (default: raw summary-STP propagation) or
 	// "aimd" (the PR-7 filtered AIMD pipeline).
 	Estimator string
-	// Metrics attaches a live metrics registry (sampler disabled, so
-	// instrument updates are the only metrics-subsystem activity); the
+	// Metrics attaches a live metrics registry (no background sampler,
+	// so instrument updates are the only metrics-subsystem activity); the
 	// cell then reports the registry's series count and lets callers
 	// diff metrics-on vs metrics-off outcomes for neutrality.
 	Metrics bool
@@ -461,11 +461,10 @@ func run(spec *Spec, cfg RunConfig) (*CellMetrics, *runner, error) {
 	}
 	rec := trace.NewRecorder()
 	opts := rt.Options{
-		Clock:       clk,
-		Recorder:    rec,
-		ARU:         policy,
-		Metrics:     reg,
-		SampleEvery: -1, // no background sampler: only the cell's stages run
+		Clock:    clk,
+		Recorder: rec,
+		ARU:      policy,
+		Metrics:  reg,
 	}
 	if cfg.Elastic {
 		opts.ControlLoops = append(opts.ControlLoops, sched.Loop(elasticSchedConfig(spec)))

@@ -1,7 +1,7 @@
-// Package sched is the elastic, resource-aware scheduler: a clock-aware
-// control loop over Runtime.Snapshot that detects the bottleneck stage
-// of a running application and elastically replicates it into a worker
-// pool behind its inbound buffer.
+// Package sched is the elastic, resource-aware scheduler: a periodic
+// duty of the runtime's control loop, over Runtime.Snapshot, that
+// detects the bottleneck stage of a running application and elastically
+// replicates it into a worker pool behind its inbound buffer.
 //
 // The loop is a classical sensor → policy → actuator pipeline:
 //
@@ -22,18 +22,13 @@
 package sched
 
 import (
-	"fmt"
-	"os"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/runtime"
 )
-
-var debugOn = os.Getenv("SCHED_DEBUG") != ""
 
 // Metric family names exported by the scheduler (registered only when
 // the runtime has a metrics registry).
@@ -247,7 +242,6 @@ func (s *scheduler) step() {
 	type sense struct {
 		st       *stage
 		current  time.Duration
-		score    time.Duration
 		pressure bool
 	}
 	senses := make([]sense, 0, len(s.ordered))
@@ -264,7 +258,6 @@ func (s *scheduler) step() {
 		senses = append(senses, sense{
 			st:       st,
 			current:  currents[st.name].Duration(),
-			score:    score,
 			pressure: delta > 0,
 		})
 		if score > best {
@@ -290,10 +283,6 @@ func (s *scheduler) step() {
 			Replicas:   replicas,
 			Pressure:   sn.pressure,
 		})
-		if debugOn && d != Hold {
-			fmt.Printf("sched %v %s: %v current=%v score=%v replicas=%d pressure=%v\n",
-				snap.At, st.name, d, sn.current, sn.score, replicas, sn.pressure)
-		}
 		switch d {
 		case ScaleUp:
 			host := s.pickHost()
@@ -360,35 +349,13 @@ func (s *scheduler) pickHost() int {
 //		TargetPeriod: 40 * time.Millisecond,
 //	}))
 //
-// (or the aru.WithElastic facade helper). The loop is clock-aware like
-// the runtime's watchdog and sampler: on a real clock ticks abort
-// promptly at Stop; on fake and virtual clocks the tick schedule is
-// driven through the clock, so tests pin the exact decision sequence.
+// (or the aru.WithElastic facade helper). The scheduler is built on the
+// runtime control loop's first turn and steps once every cfg.Tick; on
+// the virtual and manual clocks the tick schedule is driven through the
+// clock, so tests pin the exact decision sequence.
 func Loop(cfg Config) runtime.ControlLoop {
 	cfg = cfg.withDefaults()
-	return func(rt *runtime.Runtime, stop <-chan struct{}) {
-		s := newScheduler(rt, cfg)
-		clk := rt.Clock()
-		_, isReal := clk.(*clock.Real)
-		for {
-			if isReal {
-				tm := time.NewTimer(cfg.Tick)
-				select {
-				case <-tm.C:
-				case <-stop:
-					tm.Stop()
-					return
-				}
-				tm.Stop()
-			} else {
-				clk.Sleep(cfg.Tick)
-				select {
-				case <-stop:
-					return
-				default:
-				}
-			}
-			s.step()
-		}
+	return func(rt *runtime.Runtime) (time.Duration, func()) {
+		return cfg.Tick, newScheduler(rt, cfg).step
 	}
 }

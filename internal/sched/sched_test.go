@@ -40,7 +40,6 @@ func TestElasticConservationOracle(t *testing.T) {
 		Clock:        clock.NewVirtual(),
 		ARU:          core.PolicyMin(),
 		Metrics:      reg,
-		SampleEvery:  -1,
 		ControlLoops: []runtime.ControlLoop{Loop(cfg)},
 	})
 	qin := rt.MustAddQueue("Qin", 0, runtime.WithQueueCapacity(8))
@@ -190,7 +189,7 @@ func TestElasticConservationOracle(t *testing.T) {
 // allowlisted stages, and never considers sources (which cannot be
 // replicated). White-box over newScheduler's discovery.
 func TestLoopRespectsAllowlistAndSources(t *testing.T) {
-	rt := runtime.New(runtime.Options{Clock: clock.NewVirtual(), SampleEvery: -1})
+	rt := runtime.New(runtime.Options{Clock: clock.NewVirtual()})
 	q := rt.MustAddQueue("Q", 0)
 	q2 := rt.MustAddQueue("Q2", 0)
 	src := rt.MustAddThread("src", 0, func(ctx *runtime.Ctx) error { return nil })

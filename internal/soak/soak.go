@@ -234,7 +234,7 @@ func runCycle(cfg Config, cycle int, remoteCycle bool) (*CycleResult, error) {
 		ctl.DropWriteAfter(16384 + rng.Int63n(16384))
 	}
 
-	r := rt.New(rt.Options{Clock: clock.NewReal(), SampleEvery: -1})
+	r := rt.New(rt.Options{Clock: clock.NewReal()})
 
 	// Edges: queue i feeds stage i+1; on remote cycles edge 1 (between
 	// relay₀ and relay₁) is the wire.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -239,8 +240,12 @@ func checkWriterPrefixes(t *testing.T, evs []Event, writers int) {
 
 // TestRecorderEventsAllocs pins the snapshot's allocations: Events()
 // copies the chunks into one slice it allocates once, so the count does
-// not grow with the number of events or chunks.
+// not grow with the number of events or chunks. The collector is held
+// off for the measurement: a GC cycle that a multi-megabyte snapshot
+// starts (every other call under the race detector) adds its own
+// mallocs to the process-wide count.
 func TestRecorderEventsAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var counts []float64
 	for _, n := range []int{chunkSize, 40 * chunkSize} {
 		r := filledRecorder(n)

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -582,18 +580,18 @@ func run(spec *Spec, cfg RunConfig) (*CellMetrics, *runner, error) {
 // registrySeries counts the exposition series the cell's run created —
 // a deterministic stand-in for metrics-subsystem overhead (each series
 // is a fixed number of atomic updates per event; EXPERIMENTS.md pins
-// the ns/update cost).
+// the ns/update cost). The count is WriteProm's sample lines, read off
+// the snapshot: one per counter or gauge series, and per histogram
+// series one per bucket plus _sum and _count.
 func registrySeries(reg *metrics.Registry) int {
-	var buf bytes.Buffer
-	if err := reg.WriteProm(&buf); err != nil {
-		return -1
-	}
 	n := 0
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) > 0 && line[0] != '#' {
-			n++
+	for _, f := range reg.Gather() {
+		for _, s := range f.Series {
+			if f.Kind == "histogram" {
+				n += len(s.Buckets) + 2
+			} else {
+				n++
+			}
 		}
 	}
 	return n

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -165,5 +166,39 @@ func TestRunRejectsUnknownEstimator(t *testing.T) {
 	}
 	if _, err := Run(spec, RunConfig{Estimator: "oracle"}); err == nil {
 		t.Fatal("unknown estimator accepted")
+	}
+}
+
+// TestRegistrySeriesMatchesExposition pins registrySeries to what it
+// stands for: the sample lines of the Prometheus text, over counters,
+// gauges (one unknown), a help string with a newline and labelled
+// histograms with the default and with custom buckets.
+func TestRegistrySeriesMatchesExposition(t *testing.T) {
+	reg := metrics.NewRegistry()
+	if n := registrySeries(reg); n != 0 {
+		t.Fatalf("empty registry: %d series", n)
+	}
+	reg.Counter("c_total", "a counter\nover two lines", nil).Inc()
+	reg.Counter("c_total", "", metrics.Labels{"stage": "a"}).Add(3)
+	reg.DurationCounter("busy_seconds_total", "", metrics.Labels{"stage": `q"x`}).AddDuration(time.Second)
+	reg.Gauge("g", "", metrics.Labels{"node": "n1"}).Set(2)
+	reg.Gauge("g", "", metrics.Labels{"node": "n2"}).SetUnknown()
+	reg.Histogram("wait_seconds", "", nil, metrics.Labels{"node": "a"}).Observe(time.Millisecond)
+	reg.Histogram("wait_seconds", "", nil, metrics.Labels{"node": "b"})
+	reg.Histogram("short_seconds", "", []time.Duration{time.Millisecond, time.Second}, metrics.Labels{"node": "a", "tenant": "t"})
+
+	var buf strings.Builder
+	if err := reg.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			lines++
+		}
+	}
+	want := 3 + 2 + 2*(len(metrics.DurationBuckets)+3) + (2 + 3)
+	if got := registrySeries(reg); got != lines || got != want {
+		t.Fatalf("registrySeries = %d, exposition has %d sample lines, want %d", got, lines, want)
 	}
 }

@@ -46,18 +46,36 @@ func Throughput(count int, window time.Duration) float64 {
 // interpolation between closest ranks. It copies and sorts its input.
 // Empty input yields NaN.
 func Quantile(samples []float64, q float64) float64 {
+	return Quantiles(samples, q)[0]
+}
+
+// Quantiles returns Quantile(samples, q) for each q, copying and sorting
+// the samples once.
+func Quantiles(samples []float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
 	if len(samples) == 0 {
-		return math.NaN()
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		return out
 	}
+	s := make([]float64, len(samples))
+	copy(s, samples)
+	sort.Float64s(s)
+	for i, q := range qs {
+		out[i] = quantileSorted(s, q)
+	}
+	return out
+}
+
+// quantileSorted interpolates the q-quantile of sorted samples.
+func quantileSorted(s []float64, q float64) float64 {
 	if q < 0 {
 		q = 0
 	}
 	if q > 1 {
 		q = 1
 	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
 	pos := q * float64(len(s)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -82,5 +84,54 @@ func TestDurationStats(t *testing.T) {
 	mean, std = DurationStats(nil)
 	if mean != 0 || std != 0 {
 		t.Error("empty DurationStats must yield zeros")
+	}
+}
+
+// TestQuantilesMatchQuantile checks that Quantiles, and Quantile
+// through it, give each quantile bit for bit as a sort per quantile
+// does, clamped and empty inputs included, and leave the input alone.
+func TestQuantilesMatchQuantile(t *testing.T) {
+	// The per-quantile form Quantiles replaced.
+	reference := func(samples []float64, q float64) float64 {
+		if len(samples) == 0 {
+			return math.NaN()
+		}
+		q = min(max(q, 0), 1)
+		s := append([]float64(nil), samples...)
+		sort.Float64s(s)
+		pos := q * float64(len(s)-1)
+		lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+		if lo == hi {
+			return s[lo]
+		}
+		frac := pos - float64(lo)
+		return s[lo]*(1-frac) + s[hi]*frac
+	}
+	rng := rand.New(rand.NewSource(7))
+	qs := []float64{-0.5, 0, 0.01, 0.25, 0.5, 0.95, 0.99, 0.999, 1, 1.5}
+	for _, n := range []int{0, 1, 2, 3, 10, 101, 1000} {
+		samples := make([]float64, n)
+		for i := range samples {
+			samples[i] = math.Floor(rng.ExpFloat64() * 1e9)
+		}
+		orig := append([]float64(nil), samples...)
+		got := Quantiles(samples, qs...)
+		if len(got) != len(qs) {
+			t.Fatalf("n=%d: %d results for %d quantiles", n, len(got), len(qs))
+		}
+		for i, q := range qs {
+			want := reference(samples, q)
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Errorf("n=%d q=%v: Quantiles %v, want %v", n, q, got[i], want)
+			}
+			if one := Quantile(samples, q); math.Float64bits(one) != math.Float64bits(want) {
+				t.Errorf("n=%d q=%v: Quantile %v, want %v", n, q, one, want)
+			}
+		}
+		for i := range samples {
+			if samples[i] != orig[i] {
+				t.Fatalf("n=%d: Quantiles reordered its input", n)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -194,5 +195,35 @@ func TestStepSeriesQuickMeanBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStepSummaryMatchesParts checks that Summary's figures are bit for
+// bit those of TimeWeighted, Peak and Integral, over random footprint
+// series (integer levels, shared instants, a Grow'n series) and windows
+// that start before, inside and after the points, empty ones included.
+func TestStepSummaryMatchesParts(t *testing.T) {
+	bits := math.Float64bits
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 300; trial++ {
+		s := NewStepSeries()
+		s.Grow(rng.Intn(50))
+		s.Record(0, 0)
+		var at time.Duration
+		var level int64
+		for i := rng.Intn(60); i > 0; i-- {
+			at += time.Duration(rng.Intn(3)) * time.Millisecond
+			level += int64(rng.Intn(2001) - 1000)
+			s.Record(at, float64(level))
+		}
+		from := time.Duration(rng.Intn(200)-20) * time.Millisecond / 2
+		to := from + time.Duration(rng.Intn(200)-10)*time.Millisecond/2
+		m := s.Summary(from, to)
+		mean, std := s.TimeWeighted(from, to)
+		if bits(m.Mean) != bits(mean) || bits(m.Std) != bits(std) ||
+			bits(m.Peak) != bits(s.Peak(from, to)) || bits(m.Integral) != bits(s.Integral(from, to)) {
+			t.Fatalf("trial %d [%v, %v]: Summary %+v; TimeWeighted %v %v, Peak %v, Integral %v",
+				trial, from, to, m, mean, std, s.Peak(from, to), s.Integral(from, to))
+		}
 	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -88,8 +89,52 @@ type Analysis struct {
 	ItemsTotal, ItemsSuccessful, ItemsWasted int
 	Gets, Skips                              int
 
-	// Items maps every item id to its reconstructed lifecycle.
-	Items map[ItemID]*ItemInfo
+	// Items holds every item's reconstructed lifecycle, in allocation
+	// order; Item finds one by id.
+	Items []ItemInfo
+	index itemIndex
+}
+
+// Item returns the lifecycle of item id, or nil if the trace holds no
+// alloc for it.
+func (a *Analysis) Item(id ItemID) *ItemInfo {
+	if i := a.index.lookup(id); i >= 0 {
+		return &a.Items[i]
+	}
+	return nil
+}
+
+// itemIndex maps an item id to its place in Analysis.Items. Ids from
+// NewItemID are dense, so a table indexed by id − base holds them; an id
+// outside the table, as in a hand-built or foreign trace with sparse
+// ids, falls back to a map.
+type itemIndex struct {
+	base   ItemID
+	dense  []int32 // place + 1; 0 is absent
+	sparse map[ItemID]int
+}
+
+// lookup returns the place of id, or -1.
+func (x *itemIndex) lookup(id ItemID) int {
+	if d := uint64(id - x.base); d < uint64(len(x.dense)) {
+		return int(x.dense[d]) - 1
+	}
+	if i, ok := x.sparse[id]; ok {
+		return i
+	}
+	return -1
+}
+
+// insert records that id is at place i.
+func (x *itemIndex) insert(id ItemID, i int) {
+	if d := uint64(id - x.base); d < uint64(len(x.dense)) {
+		x.dense[d] = int32(i + 1)
+		return
+	}
+	if x.sparse == nil {
+		x.sparse = make(map[ItemID]int)
+	}
+	x.sparse[id] = i
 }
 
 // AnalyzeOptions tunes the postmortem pass.
@@ -103,31 +148,27 @@ type AnalyzeOptions struct {
 // them where they lie: the events recorded when it is called, without a
 // copy.
 func Analyze(r *Recorder, opt AnalyzeOptions) (*Analysis, error) {
-	return analyze(r.segments(), opt)
+	l := r.snapshot()
+	return analyze(&l, opt)
 }
 
 // AnalyzeEvents runs the postmortem analysis over an explicit event list.
+// An item's Inputs are a copy of its alloc's Items, nil when empty.
 func AnalyzeEvents(events []Event, opt AnalyzeOptions) (*Analysis, error) {
-	return analyze([][]Event{events}, opt)
+	l := packEvents(events)
+	return analyze(&l, opt)
 }
 
-// analyze is the postmortem pass over a trace held as consecutive
-// segments, in append order.
-func analyze(segs [][]Event, opt AnalyzeOptions) (*Analysis, error) {
+// analyze is the postmortem pass over a log, in two in-order scans. Scan
+// 1 reconstructs item lifecycles into a dense table and gathers the
+// outputs; success marking follows provenance over the table. Scan 2
+// sweeps the log in time order and steps the footprint series at the
+// events that cause the steps, and totals the computation.
+func analyze(l *eventLog, opt AnalyzeOptions) (*Analysis, error) {
 	end := opt.To
-	var counts [EvEmit + 1]int
-	for _, events := range segs {
-		for i := range events {
-			ev := &events[i]
-			if ev.At > end {
-				end = ev.At
-			}
-			if ev.Kind <= EvEmit {
-				counts[ev.Kind]++
-			}
-		}
+	if l.n > 0 {
+		end = max(end, l.end)
 	}
-	allocs := counts[EvAlloc]
 	if opt.To == 0 {
 		// Default window covers every event; +1ns keeps the half-open
 		// interval from excluding events at exactly the last instant.
@@ -137,83 +178,78 @@ func analyze(segs [][]Event, opt AnalyzeOptions) (*Analysis, error) {
 		return nil, fmt.Errorf("trace: empty analysis window [%v, %v)", opt.From, opt.To)
 	}
 
-	a := &Analysis{
-		From:  opt.From,
-		To:    opt.To,
-		Items: make(map[ItemID]*ItemInfo, allocs),
-	}
-	// Every ItemInfo lives in one slab; Items points into it.
-	slab := make([]ItemInfo, 0, allocs)
+	a := &Analysis{From: opt.From, To: opt.To, Items: make([]ItemInfo, 0, l.allocs)}
+	items := a.Items
+	// The log positions of the free and the last get that ended each
+	// item's live intervals, so scan 2 knows which event steps.
+	type ends struct{ free, lastGet int }
+	pos := make([]ends, 0, l.allocs)
 
-	// Pass 1: reconstruct item lifecycles and gather iteration/output
-	// events.
-	type iterRec struct {
-		compute  time.Duration
-		produced []ItemID
-	}
-	iters := make([]iterRec, 0, counts[EvIter])
+	// Scan 1: item lifecycles, in log order, and the outputs.
 	type emitRec struct {
 		at    time.Duration
 		items []ItemID
 	}
-	emits := make([]emitRec, 0, counts[EvEmit])
-
-	for _, events := range segs {
-		for i := range events {
-			ev := &events[i]
-			switch ev.Kind {
-			case EvAlloc:
-				if _, dup := a.Items[ev.Item]; dup {
-					return nil, fmt.Errorf("trace: duplicate alloc for item %d", ev.Item)
-				}
-				slab = append(slab, ItemInfo{
-					ID:       ev.Item,
-					Node:     ev.Node,
-					Producer: ev.Thread,
-					TS:       ev.TS,
-					Size:     ev.Size,
-					AllocAt:  ev.At,
-					FreeAt:   end,
-					Inputs:   ev.Items,
-				})
-				a.Items[ev.Item] = &slab[len(slab)-1]
-			case EvGet:
-				if it, ok := a.Items[ev.Item]; ok {
-					it.Gets++
-					if ev.At > it.LastGetAt {
-						it.LastGetAt = ev.At
-					}
-					a.Gets++
-				}
-			case EvSkip:
-				if it, ok := a.Items[ev.Item]; ok {
-					it.Skips++
-					a.Skips++
-				}
-			case EvFree:
-				if it, ok := a.Items[ev.Item]; ok {
-					if it.Freed {
-						return nil, fmt.Errorf("trace: double free of item %d", ev.Item)
-					}
-					it.Freed = true
-					it.FreeAt = ev.At
-				}
-			case EvIter:
-				iters = append(iters, iterRec{compute: ev.Compute, produced: ev.Items})
-			case EvEmit:
-				emits = append(emits, emitRec{at: ev.At, items: ev.Items})
+	var emits []emitRec
+	for p := 0; p < l.n; p++ {
+		ev := l.at(p)
+		switch ev.kind {
+		case EvAlloc:
+			if len(items) == 0 {
+				// Ids from NewItemID run from the first alloc's up; the
+				// slack absorbs ids minted but never recorded.
+				a.index = itemIndex{base: ev.item, dense: make([]int32, 2*l.allocs+64)}
+			} else if a.index.lookup(ev.item) >= 0 {
+				return nil, fmt.Errorf("trace: duplicate alloc for item %d", ev.item)
 			}
+			a.index.insert(ev.item, len(items))
+			// The slab holds every alloc: fill the next entry in place.
+			items = items[:len(items)+1]
+			it := &items[len(items)-1]
+			it.ID, it.Node, it.Producer = ev.item, ev.node, ev.thread
+			it.TS, it.Size = vt.Timestamp(ev.w0), ev.w1
+			it.AllocAt, it.FreeAt = ev.at, end
+			it.Inputs = l.items(ev)
+			pos = append(pos, ends{-1, -1})
+		case EvGet:
+			if i := a.index.lookup(ev.item); i >= 0 {
+				it := &items[i]
+				it.Gets++
+				if ev.at > it.LastGetAt {
+					it.LastGetAt = ev.at
+					pos[i].lastGet = p
+				}
+				a.Gets++
+			}
+		case EvSkip:
+			if i := a.index.lookup(ev.item); i >= 0 {
+				items[i].Skips++
+				a.Skips++
+			}
+		case EvFree:
+			if i := a.index.lookup(ev.item); i >= 0 {
+				it := &items[i]
+				if it.Freed {
+					return nil, fmt.Errorf("trace: double free of item %d", ev.item)
+				}
+				it.Freed = true
+				it.FreeAt = ev.at
+				pos[i].free = p
+			}
+		case EvEmit:
+			emits = append(emits, emitRec{at: ev.at, items: l.items(ev)})
 		}
 	}
+	a.Items = items
 
-	// Pass 2: success marking. Base: every item consumed by an emitted
-	// output. Propagate backwards through provenance: if a derived item
-	// is successful, the inputs that fed it are too.
-	var stack []ItemID
+	// Success marking. Base: every item consumed by an emitted output.
+	// Propagate backwards through provenance: if a derived item is
+	// successful, the inputs that fed it are too.
+	var stack []int
 	mark := func(id ItemID) {
-		if it, ok := a.Items[id]; ok && !it.Successful {
-			it.Successful = true
-			stack = append(stack, id)
+		if i := a.index.lookup(id); i >= 0 && !items[i].Successful {
+			items[i].Successful = true
+			stack = append(stack, i)
 		}
 	}
 	for _, e := range emits {
@@ -222,88 +258,151 @@ func analyze(segs [][]Event, opt AnalyzeOptions) (*Analysis, error) {
 		}
 	}
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, in := range a.Items[id].Inputs {
+		for _, in := range items[i].Inputs {
 			mark(in)
 		}
 	}
 
-	a.ItemsTotal = len(slab)
-	for i := range slab {
-		if slab[i].Successful {
+	// Count each footprint series' steps. An item steps a series only
+	// when its live interval there is not empty; IGC keeps successful
+	// items live from allocation to their last get.
+	var all, wasted, igc stepper
+	for i := range items {
+		it := &items[i]
+		if it.Successful {
 			a.ItemsSuccessful++
-		}
-	}
-	a.ItemsWasted = a.ItemsTotal - a.ItemsSuccessful
-
-	// Pass 3: footprint step series (all, wasted-only, IGC).
-	a.All = buildFootprint(slab, opt, func(it *ItemInfo) (bool, time.Duration, time.Duration) {
-		return true, it.AllocAt, it.FreeAt
-	})
-	a.Wasted = buildFootprint(slab, opt, func(it *ItemInfo) (bool, time.Duration, time.Duration) {
-		return !it.Successful, it.AllocAt, it.FreeAt
-	})
-	a.IGC = buildFootprint(slab, opt, func(it *ItemInfo) (bool, time.Duration, time.Duration) {
-		if !it.Successful {
-			return false, 0, 0
-		}
-		last := it.LastGetAt
-		if last < it.AllocAt {
-			last = it.AllocAt
-		}
-		return true, it.AllocAt, last
-	})
-	if a.All.IntegralByteSec > 0 {
-		a.WastedMemPct = 100 * a.Wasted.IntegralByteSec / a.All.IntegralByteSec
-	}
-
-	// Pass 4: computation accounting. An iteration's work is wasted when
-	// it produced items and none of them (transitively) mattered.
-	for _, it := range iters {
-		a.TotalCompute += it.compute
-		if len(it.produced) == 0 {
-			continue // sink/bookkeeping iteration: work served consumed items
-		}
-		wasted := true
-		for _, id := range it.produced {
-			if info, ok := a.Items[id]; ok && info.Successful {
-				wasted = false
-				break
+			if it.LastGetAt > it.AllocAt {
+				igc.live(it.Size, false)
 			}
 		}
-		if wasted {
-			a.WastedCompute += it.compute
+		if it.FreeAt > it.AllocAt {
+			all.live(it.Size, !it.Freed)
+			if !it.Successful {
+				wasted.live(it.Size, !it.Freed)
+			}
 		}
+	}
+	a.ItemsTotal = len(items)
+	a.ItemsWasted = a.ItemsTotal - a.ItemsSuccessful
+	all.init()
+	wasted.init()
+	igc.init()
+
+	// Scan 2: the footprint steps in time order, and the computation. A
+	// log appended out of time order, as on a wall clock, is swept
+	// through a stable permutation ordered by time.
+	var order []int
+	if l.disordered {
+		order = make([]int, l.n)
+		for p := range order {
+			order[p] = p
+		}
+		slices.SortFunc(order, func(x, y int) int {
+			if c := cmp.Compare(l.at(x).at, l.at(y).at); c != 0 {
+				return c
+			}
+			return cmp.Compare(x, y)
+		})
+	}
+	for k := 0; k < l.n; k++ {
+		p := k
+		if order != nil {
+			p = order[k]
+		}
+		ev := l.at(p)
+		switch ev.kind {
+		case EvAlloc:
+			it := &items[a.index.lookup(ev.item)]
+			if it.FreeAt > it.AllocAt {
+				all.step(ev.at, it.Size)
+				if !it.Successful {
+					wasted.step(ev.at, it.Size)
+				}
+			}
+			if it.Successful && it.LastGetAt > it.AllocAt {
+				igc.step(ev.at, it.Size)
+			}
+		case EvFree:
+			if i := a.index.lookup(ev.item); i >= 0 && pos[i].free == p {
+				if it := &items[i]; it.FreeAt > it.AllocAt {
+					all.step(ev.at, -it.Size)
+					if !it.Successful {
+						wasted.step(ev.at, -it.Size)
+					}
+				}
+			}
+		case EvGet:
+			if i := a.index.lookup(ev.item); i >= 0 && pos[i].lastGet == p {
+				if it := &items[i]; it.Successful && it.LastGetAt > it.AllocAt {
+					igc.step(ev.at, -it.Size)
+				}
+			}
+		case EvIter:
+			// An iteration's work is wasted when it produced items and
+			// none of them (transitively) mattered; a sink or bookkeeping
+			// iteration's served the items it consumed.
+			compute := time.Duration(ev.w0)
+			a.TotalCompute += compute
+			produced := l.items(ev)
+			dropped := len(produced) > 0
+			for _, id := range produced {
+				if i := a.index.lookup(id); i >= 0 && items[i].Successful {
+					dropped = false
+					break
+				}
+			}
+			if dropped {
+				a.WastedCompute += compute
+			}
+		}
+	}
+	all.finish(end)
+	wasted.finish(end)
+	a.All = all.footprint(opt)
+	a.Wasted = wasted.footprint(opt)
+	a.IGC = igc.footprint(opt)
+	if a.All.IntegralByteSec > 0 {
+		a.WastedMemPct = 100 * a.Wasted.IntegralByteSec / a.All.IntegralByteSec
 	}
 	if a.TotalCompute > 0 {
 		a.WastedCompPct = 100 * float64(a.WastedCompute) / float64(a.TotalCompute)
 	}
 
-	// Pass 5: outputs, latency, throughput, jitter (window-clipped).
-	rootMemo := make(map[ItemID]time.Duration)
+	// Outputs, latency, throughput, jitter (window-clipped). An output's
+	// latency runs from the allocation of the earliest item in its
+	// provenance.
+	const unset = time.Duration(math.MinInt64)
+	var roots []time.Duration
 	var rootAlloc func(id ItemID) time.Duration
 	rootAlloc = func(id ItemID) time.Duration {
-		if t, ok := rootMemo[id]; ok {
-			return t
-		}
-		it, ok := a.Items[id]
-		if !ok {
+		i := a.index.lookup(id)
+		if i < 0 {
 			return -1
 		}
-		best := it.AllocAt
-		for _, in := range it.Inputs {
+		if roots[i] != unset {
+			return roots[i]
+		}
+		best := items[i].AllocAt
+		for _, in := range items[i].Inputs {
 			if t := rootAlloc(in); t >= 0 && t < best {
 				best = t
 			}
 		}
-		rootMemo[id] = best
+		roots[i] = best
 		return best
 	}
 	sort.Slice(emits, func(i, j int) bool { return emits[i].at < emits[j].at })
 	for _, e := range emits {
 		if e.at < opt.From || e.at >= opt.To {
 			continue
+		}
+		if roots == nil {
+			roots = make([]time.Duration, len(items))
+			for i := range roots {
+				roots[i] = unset
+			}
 		}
 		a.Outputs++
 		a.OutputTimes = append(a.OutputTimes, e.at)
@@ -324,70 +423,65 @@ func analyze(segs [][]Event, opt AnalyzeOptions) (*Analysis, error) {
 		for i, d := range a.Latencies {
 			samples[i] = float64(d)
 		}
-		a.LatencyP50 = time.Duration(stats.Quantile(samples, 0.50))
-		a.LatencyP95 = time.Duration(stats.Quantile(samples, 0.95))
-		a.LatencyP99 = time.Duration(stats.Quantile(samples, 0.99))
+		q := stats.Quantiles(samples, 0.50, 0.95, 0.99)
+		a.LatencyP50, a.LatencyP95, a.LatencyP99 = time.Duration(q[0]), time.Duration(q[1]), time.Duration(q[2])
 	}
 	a.Jitter = stats.Jitter(a.OutputTimes)
 
 	return a, nil
 }
 
-// delta is one step of an occupancy series: d bytes arrive (d > 0) or
-// leave (d < 0) at time at.
-type delta struct {
-	at time.Duration
-	d  int64
+// stepper builds one occupancy step series in time order. The level at
+// an instant is an integer sum, so the steps at one instant may come in
+// any order: Record keeps the last level written there.
+type stepper struct {
+	series *stats.StepSeries
+	level  int64
+	steps  int
+	// ends and endBytes count and sum the steps down at end, of the
+	// items never freed.
+	ends     int
+	endBytes int64
 }
 
-func deltaAt(x, y delta) int { return cmp.Compare(x.at, y.at) }
-
-// buildFootprint constructs one occupancy step series over the window.
-// include returns whether an item participates and its live interval.
-func buildFootprint(items []ItemInfo, opt AnalyzeOptions,
-	include func(*ItemInfo) (bool, time.Duration, time.Duration)) Footprint {
-
-	// Arrivals are gathered in allocation order, which a time-ordered
-	// trace has already sorted, so sorting the two lists apart leaves the
-	// real work to the departures alone; a merge then visits every step
-	// in time order.
-	ups := make([]delta, 0, len(items))
-	downs := make([]delta, 0, len(items))
-	for i := range items {
-		it := &items[i]
-		ok, lo, hi := include(it)
-		if !ok || hi <= lo {
-			continue
-		}
-		ups = append(ups, delta{at: lo, d: it.Size})
-		downs = append(downs, delta{at: hi, d: -it.Size})
+// live counts an item's two steps; toEnd says it steps down at end.
+func (s *stepper) live(size int64, toEnd bool) {
+	s.steps += 2
+	if toEnd {
+		s.ends++
+		s.endBytes += size
 	}
-	slices.SortFunc(ups, deltaAt)
-	slices.SortFunc(downs, deltaAt)
+}
 
-	series := stats.NewStepSeries()
-	series.Record(0, 0)
-	// Ties may be merged in any order: Record keeps the last level
-	// written at an instant, which is the same sum whatever order
-	// produced it.
-	var level int64
-	for len(ups)+len(downs) > 0 {
-		var d delta
-		if len(downs) == 0 || len(ups) > 0 && ups[0].at <= downs[0].at {
-			d, ups = ups[0], ups[1:]
-		} else {
-			d, downs = downs[0], downs[1:]
-		}
-		level += d.d
-		series.Record(d.at, float64(level))
+// init starts the series at 0 with room for every step.
+func (s *stepper) init() {
+	s.series = stats.NewStepSeries()
+	s.series.Grow(s.steps + 1)
+	s.series.Record(0, 0)
+}
+
+// step moves the level by d bytes at time t.
+func (s *stepper) step(t time.Duration, d int64) {
+	s.level += d
+	s.series.Record(t, float64(s.level))
+}
+
+// finish takes the steps down at end together: Record keeps one point
+// an instant.
+func (s *stepper) finish(end time.Duration) {
+	if s.ends > 0 {
+		s.step(end, -s.endBytes)
 	}
+}
 
-	mean, std := series.TimeWeighted(opt.From, opt.To)
+// footprint summarizes the series over the analysis window.
+func (s *stepper) footprint(opt AnalyzeOptions) Footprint {
+	m := s.series.Summary(opt.From, opt.To)
 	return Footprint{
-		MeanBytes:       mean,
-		StdBytes:        std,
-		PeakBytes:       series.Peak(opt.From, opt.To),
-		IntegralByteSec: series.Integral(opt.From, opt.To) / float64(time.Second),
-		Series:          series,
+		MeanBytes:       m.Mean,
+		StdBytes:        m.Std,
+		PeakBytes:       m.Peak,
+		IntegralByteSec: m.Integral / float64(time.Second),
+		Series:          s.series,
 	}
 }

@@ -83,8 +83,8 @@ func TestAnalyzeSuccessMarking(t *testing.T) {
 	a := mustAnalyze(t, buildPipelineTrace(), AnalyzeOptions{})
 	wantSuccess := map[ItemID]bool{1: true, 2: false, 3: true, 4: false, 11: true, 13: true}
 	for id, want := range wantSuccess {
-		it, ok := a.Items[id]
-		if !ok {
+		it := a.Item(id)
+		if it == nil {
 			t.Fatalf("item %d missing", id)
 		}
 		if it.Successful != want {
@@ -258,7 +258,7 @@ func TestAnalyzeUnfreedItemLivesToEnd(t *testing.T) {
 	if math.Abs(a.All.IntegralByteSec-200) > 1e-6 {
 		t.Errorf("integral = %v", a.All.IntegralByteSec)
 	}
-	if a.Items[1].Freed {
+	if a.Item(1).Freed {
 		t.Error("item must be marked unfreed")
 	}
 }

@@ -1,7 +1,7 @@
 package trace_test
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 	"time"
 
@@ -43,7 +43,9 @@ func TestAnalyzeInPlaceMatchesEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareAnalyses(t, got, want)
+		for _, d := range trace.DiffAnalyses(got, want) {
+			t.Errorf("%+v in place vs copied: %s", opt, d)
+		}
 	}
 
 	// A nil recorder analyses like an empty event list, error included.
@@ -53,61 +55,47 @@ func TestAnalyzeInPlaceMatchesEvents(t *testing.T) {
 		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 			t.Errorf("%+v: Analyze(nil) error %v, AnalyzeEvents(nil) error %v", opt, gotErr, wantErr)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%+v: Analyze(nil) = %+v, AnalyzeEvents(nil) = %+v", opt, got, want)
+		for _, d := range trace.DiffAnalyses(got, want) {
+			t.Errorf("%+v: Analyze(nil) vs AnalyzeEvents(nil): %s", opt, d)
 		}
 	}
 }
 
-func compareAnalyses(t *testing.T, got, want *trace.Analysis) {
-	t.Helper()
-	scalars := func(a *trace.Analysis) trace.Analysis {
-		s := *a
-		s.All, s.Wasted, s.IGC = footprintScalars(a.All), footprintScalars(a.Wasted), footprintScalars(a.IGC)
-		s.OutputTimes, s.Latencies, s.Items = nil, nil, nil
-		return s
-	}
-	if g, w := scalars(got), scalars(want); !reflect.DeepEqual(g, w) {
-		t.Errorf("scalar fields differ:\n in place %+v\n  copied  %+v", g, w)
-	}
-	if !reflect.DeepEqual(got.Latencies, want.Latencies) {
-		t.Errorf("Latencies differ: %d vs %d", len(got.Latencies), len(want.Latencies))
-	}
-	if !reflect.DeepEqual(got.OutputTimes, want.OutputTimes) {
-		t.Errorf("OutputTimes differ: %d vs %d", len(got.OutputTimes), len(want.OutputTimes))
-	}
-	for _, fp := range []struct {
-		name      string
-		got, want trace.Footprint
-	}{{"All", got.All, want.All}, {"Wasted", got.Wasted, want.Wasted}, {"IGC", got.IGC, want.IGC}} {
-		g, w := fp.got.Series, fp.want.Series
-		if g.Len() != w.Len() {
-			t.Errorf("%s series: %d points in place, %d copied", fp.name, g.Len(), w.Len())
-			continue
-		}
-		for i := 0; i < g.Len(); i++ {
-			gt, gv := g.Point(i)
-			wt, wv := w.Point(i)
-			if gt != wt || gv != wv {
-				t.Errorf("%s series point %d: (%v, %v) in place, (%v, %v) copied", fp.name, i, gt, gv, wt, wv)
-				break
+// TestAnalyzeMatchesReferenceTracker runs the pass and the reference
+// oracle over the paper's experiment: both tracker configurations under
+// no ARU, ARU-min and ARU-max, each analysed over the whole run and over
+// the measured window. They must agree on every field, every series
+// point and every item.
+func TestAnalyzeMatchesReferenceTracker(t *testing.T) {
+	const d, warm = 300 * time.Second, 15 * time.Second
+	policies := []struct {
+		name string
+		p    core.Policy
+	}{{"off", core.PolicyOff()}, {"min", core.PolicyMin()}, {"max", core.PolicyMax()}}
+	for _, hosts := range []int{1, 5} {
+		for _, pol := range policies {
+			name := fmt.Sprintf("hosts=%d/aru=%s", hosts, pol.name)
+			app, err := tracker.New(tracker.Config{Hosts: hosts, Seed: 42, Policy: pol.p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := app.Runtime.RunFor(d); err != nil {
+				t.Fatal(err)
+			}
+			events := app.Recorder.Events()
+			for _, opt := range []trace.AnalyzeOptions{{}, {From: warm, To: d}} {
+				want, err := trace.ReferenceAnalyze(events, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := trace.Analyze(app.Recorder, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, diff := range trace.DiffAnalyses(got, want) {
+					t.Errorf("%s %+v: %s", name, opt, diff)
+				}
 			}
 		}
 	}
-	if len(got.Items) != len(want.Items) {
-		t.Errorf("Items: %d in place, %d copied", len(got.Items), len(want.Items))
-	}
-	for id, w := range want.Items {
-		if g, ok := got.Items[id]; !ok || !reflect.DeepEqual(*g, *w) {
-			t.Errorf("item %d: in place %+v, copied %+v", id, g, w)
-			return
-		}
-	}
-}
-
-// footprintScalars drops the series, which compareAnalyses checks point
-// by point.
-func footprintScalars(f trace.Footprint) trace.Footprint {
-	f.Series = nil
-	return f
 }

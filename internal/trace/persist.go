@@ -24,6 +24,9 @@ type fileHeader struct {
 
 const magic = "stampede-aru-trace"
 
+// maxPrealloc caps the events ReadNamed allocates ahead of decoding them.
+const maxPrealloc = 1 << 16
+
 // Write serializes events to w without a name table.
 func Write(w io.Writer, events []Event) error {
 	return WriteNamed(w, events, nil)
@@ -70,7 +73,9 @@ func ReadNamed(r io.Reader) ([]Event, map[graph.NodeID]string, error) {
 	if h.Events < 0 {
 		return nil, nil, fmt.Errorf("trace: negative event count %d", h.Events)
 	}
-	events := make([]Event, 0, h.Events)
+	// The declared count sizes the list only up to a bound: a header may
+	// declare more events than the stream holds.
+	events := make([]Event, 0, min(h.Events, maxPrealloc))
 	for i := 0; i < h.Events; i++ {
 		var ev Event
 		if err := dec.Decode(&ev); err != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/gob"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -100,5 +101,19 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.trace")); err == nil {
 		t.Error("missing file must error")
+	}
+}
+
+// TestReadHugeDeclaredCount feeds a header that declares 2^36 events and
+// holds none: the reader must report the short stream, not size its list
+// by the declaration and die out of memory.
+func TestReadHugeDeclaredCount(t *testing.T) {
+	var buf bytes.Buffer
+	h := fileHeader{Magic: magic, Version: traceFileVersion, Events: 1 << 36}
+	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf); err == nil {
+		t.Fatal("a header declaring 2^36 events over an empty stream was accepted")
 	}
 }

@@ -90,7 +90,7 @@ func BuildReport(events []Event, a *Analysis) *Report {
 			cr := ch(ev.Node)
 			cr.Allocs++
 			cr.BytesAllocated += ev.Size
-			if info, ok := a.Items[ev.Item]; ok {
+			if info := a.Item(ev.Item); info != nil {
 				if !info.Successful {
 					cr.WastedItems++
 				}

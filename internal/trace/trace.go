@@ -78,7 +78,7 @@ func (k EventKind) String() string {
 }
 
 // Event is one trace record. Field usage depends on Kind; unused fields
-// are zero.
+// are zero, and a Recorder keeps only the fields the kind uses.
 type Event struct {
 	Kind EventKind
 	// At is the runtime-clock time of the event.
@@ -105,29 +105,139 @@ type Event struct {
 	Items []ItemID
 }
 
-// chunkSize is the number of events held by one recorder chunk. Chunks
-// are append-only and never reallocated, so recording never copies old
-// events and a reader holding a chunk header sees a stable prefix.
-const chunkSize = 1024
+// rec is one event as the recorder stores it: fixed size and free of
+// pointers, so the garbage collector never scans the log and storing a
+// record needs no write barrier. The two words w0 and w1 hold what the
+// kind uses (TS and Size for an alloc, Compute and Blocked for an iter),
+// and the provenance list lies in the id arena as (chunk, offset,
+// length).
+type rec struct {
+	at            time.Duration
+	item          ItemID
+	node          graph.NodeID
+	thread        graph.NodeID
+	w0, w1        int64
+	idc, ido, idn uint32
+	kind          EventKind
+}
+
+// chunkShift sizes the record chunks: chunkSize records each. Chunks are
+// allocated at full length and never reallocated, so recording never
+// copies old records and a reader holding a chunk sees a stable prefix.
+const (
+	chunkShift = 10
+	chunkSize  = 1 << chunkShift
+)
 
 // idChunkSize is the number of provenance ids one arena chunk holds; a
 // longer list gets a chunk of its own length.
 const idChunkSize = 4096
 
+// eventLog is a trace as records: every chunk but the last full, and the
+// provenance arena the records point into. The record at log position p
+// is chunks[p>>chunkShift][p&(chunkSize-1)], for p < n.
+type eventLog struct {
+	chunks [][]rec
+	ids    [][]ItemID
+	idLen  int // ids used in the last arena chunk
+	n      int
+	// allocs counts the EvAlloc records, end is the latest event time,
+	// and disordered says some record is earlier than one before it.
+	allocs     int
+	end        time.Duration
+	disordered bool
+}
+
+// at returns the record at log position p.
+func (l *eventLog) at(p int) *rec { return &l.chunks[p>>chunkShift][p&(chunkSize-1)] }
+
+// append stores ev as a record, copying its provenance into the arena.
+func (l *eventLog) append(ev *Event) {
+	if l.n>>chunkShift == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]rec, chunkSize))
+	}
+	r := l.at(l.n)
+	*r = rec{at: ev.At, item: ev.Item, node: ev.Node, thread: ev.Thread, kind: ev.Kind}
+	switch ev.Kind {
+	case EvAlloc:
+		r.w0, r.w1 = int64(ev.TS), ev.Size
+		l.allocs++
+	case EvIter:
+		r.w0, r.w1 = int64(ev.Compute), int64(ev.Blocked)
+	}
+	if k := len(ev.Items); k > 0 {
+		if len(l.ids) == 0 || len(l.ids[len(l.ids)-1])-l.idLen < k {
+			l.ids = append(l.ids, make([]ItemID, max(idChunkSize, k)))
+			l.idLen = 0
+		}
+		c := len(l.ids) - 1
+		copy(l.ids[c][l.idLen:], ev.Items)
+		r.idc, r.ido, r.idn = uint32(c), uint32(l.idLen), uint32(k)
+		l.idLen += k
+	}
+	if l.n == 0 || ev.At > l.end {
+		l.end = ev.At
+	} else if ev.At < l.end {
+		l.disordered = true
+	}
+	l.n++
+}
+
+// items returns r's provenance list in the arena, capped at its length
+// so an append on it cannot overwrite the next list; nil if empty.
+func (l *eventLog) items(r *rec) []ItemID {
+	if r.idn == 0 {
+		return nil
+	}
+	lo, hi := r.ido, r.ido+r.idn
+	return l.ids[r.idc][lo:hi:hi]
+}
+
+// event expands the record at position p.
+func (l *eventLog) event(p int) Event {
+	r := l.at(p)
+	ev := Event{Kind: r.kind, At: r.at, Item: r.item, Node: r.node, Thread: r.thread, Items: l.items(r)}
+	switch r.kind {
+	case EvAlloc:
+		ev.TS, ev.Size = vt.Timestamp(r.w0), r.w1
+	case EvIter:
+		ev.Compute, ev.Blocked = time.Duration(r.w0), time.Duration(r.w1)
+	}
+	return ev
+}
+
+// snapshot returns the log as of now. It copies the chunk headers only:
+// the records and ids below n are never written again, so the copy is a
+// consistent prefix of the log while appends go on.
+func (l *eventLog) snapshot() eventLog {
+	s := *l
+	s.chunks = slices.Clone(l.chunks)
+	s.ids = slices.Clone(l.ids)
+	return s
+}
+
+// packEvents stores an explicit event list as a log.
+func packEvents(events []Event) eventLog {
+	var l eventLog
+	for i := range events {
+		l.append(&events[i])
+	}
+	return l
+}
+
 // Recorder collects events. It is safe for concurrent use. A nil
 // *Recorder is valid and discards everything, so tracing can be disabled
 // without branching at call sites.
 //
-// The recorder is one append log: a mutex-guarded list of event chunks,
-// so append order is lock order and a causally ordered pair of appends
-// keeps its order. Every provenance list is copied into a chunked id
-// arena, so callers may reuse their slices and recording costs no
-// allocation per event. Analyze reads the chunks where they lie.
+// The recorder is one append log under one mutex, so append order is lock
+// order and a causally ordered pair of appends keeps its order. Events
+// are stored as pointer-free records and every provenance list is copied
+// into a chunked id arena, so callers may reuse their slices and
+// recording costs no allocation per event. Analyze reads the chunks
+// where they lie.
 type Recorder struct {
 	mu     sync.Mutex
-	chunks [][]Event // guarded by mu; every chunk but the last is full
-	ids    []ItemID  // guarded by mu; the current provenance arena chunk
-	n      int       // guarded by mu; events recorded
+	log    eventLog // guarded by mu
 	nextID atomic.Int64
 }
 
@@ -145,36 +255,15 @@ func (r *Recorder) NewItemID() ItemID {
 
 // Append records one event. A nil recorder discards it. ev.Items is
 // copied into the recorder's arena, so the caller may reuse its slice;
-// an empty list is recorded as nil.
+// an empty list is recorded as nil. Only the fields ev.Kind uses are
+// kept.
 func (r *Recorder) Append(ev Event) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	ev.Items = r.storeIDs(ev.Items)
-	k := len(r.chunks)
-	if k == 0 || len(r.chunks[k-1]) == chunkSize {
-		r.chunks = append(r.chunks, make([]Event, 0, chunkSize))
-		k++
-	}
-	r.chunks[k-1] = append(r.chunks[k-1], ev)
-	r.n++
+	r.log.append(&ev)
 	r.mu.Unlock()
-}
-
-// storeIDs copies ids into the arena and returns the copy, capped at its
-// length so an append on it cannot overwrite the next list. The caller
-// holds r.mu.
-func (r *Recorder) storeIDs(ids []ItemID) []ItemID {
-	if len(ids) == 0 {
-		return nil
-	}
-	if cap(r.ids)-len(r.ids) < len(ids) {
-		r.ids = make([]ItemID, 0, max(idChunkSize, len(ids)))
-	}
-	off := len(r.ids)
-	r.ids = append(r.ids, ids...)
-	return r.ids[off:len(r.ids):len(r.ids)]
 }
 
 // Len returns the number of recorded events.
@@ -184,35 +273,32 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.n
+	return r.log.n
 }
 
-// segments returns the recorded chunks as of now. The copy holds the
-// chunk headers only: chunks are append-only, so the events under them
-// never change and the copy is a consistent prefix of the log while
-// appends go on.
-func (r *Recorder) segments() [][]Event {
+// snapshot returns the log as of now; an empty one for a nil recorder.
+func (r *Recorder) snapshot() eventLog {
 	if r == nil {
-		return nil
+		return eventLog{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return slices.Clone(r.chunks)
+	return r.log.snapshot()
 }
 
 // Events returns a copy of the recorded events in append order. Their
 // Items share the recorder's arena, whose stored lists are never written
 // again. Only persisting and reporting need the copy; Analyze reads the
-// chunks in place.
+// records in place.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, r.n)
-	for _, c := range r.chunks {
-		out = append(out, c...)
+	out := make([]Event, r.log.n)
+	for p := range out {
+		out[p] = r.log.event(p)
 	}
 	return out
 }

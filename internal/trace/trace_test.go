@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -387,5 +388,21 @@ func TestAnalyzeWhileAppending(t *testing.T) {
 			t.Fatalf("item count fell from %d to %d", last, a.ItemsTotal)
 		}
 		last = a.ItemsTotal
+	}
+}
+
+// TestRecordCompact pins the stored form of an event: at most 64 bytes
+// and no pointers, so the collector never scans the log.
+func TestRecordCompact(t *testing.T) {
+	if n := unsafe.Sizeof(rec{}); n > 64 {
+		t.Errorf("rec is %d bytes, want at most 64", n)
+	}
+	typ := reflect.TypeOf(rec{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int, reflect.Int64, reflect.Uint8, reflect.Uint32:
+		default:
+			t.Errorf("rec.%s is a %v", f.Name, f.Type)
+		}
 	}
 }

@@ -303,7 +303,9 @@ func WithThreadTenant(name string) ThreadOption {
 
 // RegisterBufferBackend adds a buffer backend to the registry, making it
 // available to endpoint descriptors by name. The built-ins are
-// "channel", "queue", and "remote".
+// "channel", "queue", "ring", and "remote". A backend whose Caps declare
+// GetAt must implement the timestamped GetAt face; Start refuses it with
+// ErrPortKind otherwise.
 func RegisterBufferBackend(name string, b buffer.Backend) { buffer.Register(name, b) }
 
 // BufferBackend pairs a backend factory with its capabilities for

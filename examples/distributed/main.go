@@ -233,8 +233,7 @@ func pipeline(addr string, frames int, displayPeriod time.Duration) error {
 // cameraPuts reads the endpoint's local put count.
 func cameraPuts(rt *aru.Runtime, ch *aru.ChannelRef) int64 {
 	if b := rt.Buffer(ch); b != nil {
-		puts, _ := b.Stats()
-		return puts
+		return b.Stats().Puts
 	}
 	return 0
 }

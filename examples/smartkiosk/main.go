@@ -79,7 +79,7 @@ func main() {
 			log.Fatal(err)
 		}
 		app.Runtime.Clock().Sleep(v.dur)
-		depth, _ := app.Runtime.Buffer(app.DecisionQueue).Occupancy()
+		depth := app.Runtime.Buffer(app.DecisionQueue).Stats().Items
 		app.Runtime.Stop()
 		if hasReg {
 			reg.Add(-1)

@@ -82,14 +82,6 @@ func NewInstruments(cfg Config) Instruments {
 	}
 }
 
-// HighWater returns the high-water marks of live items and bytes since
-// creation. Zeros when metrics are disabled (the marks are only
-// maintained by the instrument handles, keeping the metrics-off hot
-// path free of extra work). Implements HighWaterer.
-func (in *Instruments) HighWater() (items, bytes int64) {
-	return in.MItemsHW.Value(), in.MBytesHW.Value()
-}
-
 // WaitQueue is a FIFO of goroutines parked through a clock
 // (clock.Park/Ready). A waker readies exactly the waiters it wakes,
 // oldest first, so a discrete-event clock hands them the turn in a
@@ -211,10 +203,12 @@ func (b *Base) Init(cfg Config, occupied func() int) {
 	b.Instruments = NewInstruments(cfg)
 }
 
-// Name returns the buffer's system-wide unique name.
+// Name returns the buffer's system-wide unique name, for the embedding
+// backend's error messages.
 func (b *Base) Name() string { return b.Cfg.Name }
 
-// Node returns the buffer's task-graph id.
+// Node returns the buffer's task-graph id, the key of the embedding
+// backend's collector calls.
 func (b *Base) Node() graph.NodeID { return b.Cfg.Node }
 
 // Clock returns the buffer's clock (never nil after Init).
@@ -297,20 +291,12 @@ func (b *Base) AwaitCapacityLocked() (time.Duration, error) {
 }
 
 // accountPutBlockedLocked records one capacity-blocked put: the
-// cumulative ledger behind PutBlocked plus the histogram observation
-// when metrics are on.
+// cumulative ledger behind Stats.PutBlocked plus the histogram
+// observation when metrics are on.
 func (b *Base) accountPutBlockedLocked(d time.Duration) {
 	b.putBlockedNs += int64(d)
 	b.putBlockedN++
 	b.MPutBlocked.Observe(d)
-}
-
-// PutBlocked returns the cumulative time producers spent blocked on
-// capacity and the number of puts that blocked. Implements PutBlocker.
-func (b *Base) PutBlocked() (time.Duration, int64) {
-	b.Mu.Lock()
-	defer b.Mu.Unlock()
-	return time.Duration(b.putBlockedNs), b.putBlockedN
 }
 
 // FailProducerLocked removes a producer attachment that failed
@@ -470,13 +456,6 @@ func (b *Base) Seal() {
 // SealedLocked reports the sealed flag; callers hold Mu.
 func (b *Base) SealedLocked() bool { return b.sealed }
 
-// Sealed reports whether Seal has been called.
-func (b *Base) Sealed() bool {
-	b.Mu.Lock()
-	defer b.Mu.Unlock()
-	return b.sealed
-}
-
 // Drained reports that the buffer is sealed and empty — the generic
 // flush-complete predicate. Backends whose delivered items may remain
 // live after consumption (channels retaining window trails) override it
@@ -508,14 +487,6 @@ func (b *Base) AccountShedLocked(n int64) {
 	b.MShed.Add(n)
 }
 
-// DrainStats returns the cumulative drain accounting: items delivered
-// after Seal and items discarded undelivered.
-func (b *Base) DrainStats() (drained, shed int64) {
-	b.Mu.Lock()
-	defer b.Mu.Unlock()
-	return b.drained, b.shed
-}
-
 // MarkClosedLocked sets the closed flag, reporting whether this call was
 // the transition. It does not wake waiters; the backend finishes its
 // close work first and then calls BroadcastLocked.
@@ -542,29 +513,19 @@ func (b *Base) BroadcastLocked() {
 // slot discipline).
 func (b *Base) BroadcastFullLocked() { b.prodQ.Wake(b.Cfg.Clock, -1) }
 
-// Closed reports whether Close has been called.
-func (b *Base) Closed() bool {
+// Stats returns the buffer's books under one acquisition of Mu, so the
+// reading is consistent: Puts - Frees == Items.
+func (b *Base) Stats() Stats {
 	b.Mu.Lock()
 	defer b.Mu.Unlock()
-	return b.closed
+	return Stats{
+		Items: b.occupied(), Bytes: b.liveBytes,
+		Puts: b.puts, Frees: b.frees,
+		HighWaterItems: b.MItemsHW.Value(), HighWaterBytes: b.MBytesHW.Value(),
+		PutBlocked: time.Duration(b.putBlockedNs), PutBlockedCount: b.putBlockedN,
+		Drained: b.drained, Shed: b.shed,
+	}
 }
-
-// Occupancy returns the current live item count and bytes.
-func (b *Base) Occupancy() (items int, bytes int64) {
-	b.Mu.Lock()
-	defer b.Mu.Unlock()
-	return b.occupied(), b.liveBytes
-}
-
-// Stats returns cumulative puts and frees.
-func (b *Base) Stats() (puts, frees int64) {
-	b.Mu.Lock()
-	defer b.Mu.Unlock()
-	return b.puts, b.frees
-}
-
-// LiveBytesLocked returns the current live byte count; callers hold Mu.
-func (b *Base) LiveBytesLocked() int64 { return b.liveBytes }
 
 // Snapshot copies the externally visible fields of an item: backends
 // return snapshots, never pointers into their storage.

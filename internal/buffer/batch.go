@@ -30,10 +30,9 @@ func PutBatchSerial(b Buffer, conn graph.ConnID, items []*Item) (applied int, bl
 }
 
 // GetBatchSerial implements GetBatch as one blocking Get followed by
-// non-blocking TryGets while the batch has room. Backends without TryGet
-// support degrade to batch size 1 — never blocking for a second item a
-// producer might not send. An informational ErrReattached on the first
-// get is passed through with its (valid) item.
+// non-blocking TryGets while the batch has room — never blocking for a
+// second item a producer might not send. An informational ErrReattached
+// on the first get is passed through with its (valid) item.
 func GetBatchSerial(b Buffer, conn graph.ConnID, dst []GetResult) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
@@ -44,9 +43,6 @@ func GetBatchSerial(b Buffer, conn graph.ConnID, dst []GetResult) (int, error) {
 	}
 	dst[0] = res
 	n := 1
-	if !b.Caps().TryGet {
-		return n, err
-	}
 	for n < len(dst) {
 		res, ok, terr := b.TryGet(conn)
 		if terr != nil || !ok {

@@ -45,9 +45,9 @@ var (
 	// attached.
 	ErrNotAttached = errors.New("buffer: connection not attached")
 	// ErrUnsupported reports an operation the backend does not provide
-	// (e.g. a timestamped get on a FIFO queue, a sliding window on a
-	// wire-backed channel). The runtime surfaces it as a typed
-	// port-kind error at wiring or call time — never as a panic.
+	// (e.g. a sliding window on a FIFO queue or a wire-backed channel).
+	// The runtime surfaces it as a typed port-kind error at wiring or
+	// call time — never as a panic.
 	ErrUnsupported = errors.New("buffer: operation unsupported by backend")
 	// ErrDegraded reports that a wire-backed operation exhausted its
 	// redial/retry budget: the remote peer is unreachable right now and
@@ -158,10 +158,9 @@ type Caps struct {
 	Discipline Discipline
 	// Windows reports sliding-window consumer support.
 	Windows bool
-	// GetAt reports support for consuming an exact timestamp.
+	// GetAt reports support for consuming an exact timestamp: the
+	// backend's instances implement AtGetter.
 	GetAt bool
-	// TryGet reports support for the non-blocking get variant.
-	TryGet bool
 	// Remote marks a backend whose storage lives outside this process:
 	// summary-STP feedback crosses a wire, so the local controller must
 	// treat the buffer's summary as externally supplied, and the
@@ -278,36 +277,43 @@ func (c Config) MetricLabels() metrics.Labels {
 	return ls
 }
 
-// HighWaterer is implemented by backends that track occupancy
-// high-water marks inline (in-process backends do, when metrics are
-// enabled). The runtime snapshot layer type-asserts it.
-type HighWaterer interface {
-	// HighWater returns the maximum live item count and byte footprint
-	// observed since creation (zeros when metrics are disabled).
-	HighWater() (items, bytes int64)
+// Stats is one consistent reading of a buffer's books. In-process
+// backends built on Base take it under one lock acquisition, so
+// Puts - Frees == Items holds in every reading; backends that keep their
+// counters in separate atomics document what they promise instead.
+type Stats struct {
+	// Items and Bytes are the live occupancy.
+	Items int
+	Bytes int64
+	// Puts and Frees are the cumulative insert and reclaim counts.
+	Puts, Frees int64
+	// HighWaterItems and HighWaterBytes are the occupancy high-water
+	// marks since creation. The metrics instruments maintain them, so
+	// they read zero when metrics are disabled.
+	HighWaterItems, HighWaterBytes int64
+	// PutBlocked and PutBlockedCount are the cumulative time producers
+	// spent blocked on capacity and the number of puts that blocked: the
+	// elastic scheduler's backlog-pressure sensor.
+	PutBlocked      time.Duration
+	PutBlockedCount int64
+	// Drained counts items delivered to a consumer after Seal; Shed
+	// counts items discarded undelivered (by Drain, or by closing a
+	// buffer that still held backlog). Both survive Close.
+	Drained, Shed int64
 }
 
-// PutBlocker is implemented by backends that account producer
-// capacity-blocking inline (every Base-embedding in-process backend
-// does, metrics on or off). The elastic scheduler reads it as its
-// backlog-pressure sensor: a buffer whose producers accumulate blocked
-// time faster than its consumer drains is the bottleneck's inbox.
-type PutBlocker interface {
-	// PutBlocked returns the cumulative time producers spent blocked on
-	// capacity and the number of puts that blocked.
-	PutBlocked() (blocked time.Duration, blockedPuts int64)
+// AtGetter is the optional random-access face of a backend whose Caps
+// declare GetAt. The runtime checks the declaration at wiring time and
+// type-asserts the face at call time.
+type AtGetter interface {
+	// GetAt consumes the item at exactly ts, blocking until it is
+	// available.
+	GetAt(conn graph.ConnID, ts vt.Timestamp) (GetResult, error)
 }
 
 // Buffer is a timestamped buffer endpoint as seen by the runtime. All
 // methods must be safe for concurrent use.
 type Buffer interface {
-	// Name returns the buffer's system-wide unique name.
-	Name() string
-	// Node returns the buffer's task-graph id.
-	Node() graph.NodeID
-	// Caps reports the backend's capabilities.
-	Caps() Caps
-
 	// AttachProducer registers an output connection of a producer
 	// thread. It must happen before the producer's first Put.
 	AttachProducer(conn graph.ConnID) error
@@ -347,8 +353,6 @@ type Buffer interface {
 	// TryGet is the non-blocking Get; ok is false when nothing is
 	// consumable right now.
 	TryGet(conn graph.ConnID) (res GetResult, ok bool, err error)
-	// GetAt consumes the item at exactly ts (random-access backends).
-	GetAt(conn graph.ConnID, ts vt.Timestamp) (GetResult, error)
 
 	// WouldBeDead reports whether an item put at ts right now would be
 	// immediately unreachable (§3.2 upstream computation elimination).
@@ -366,22 +370,13 @@ type Buffer interface {
 	// Drained reports that the buffer is sealed and holds nothing any
 	// consumer could still consume: the flush completed.
 	Drained() bool
-	// DrainStats returns the drain accounting: drained counts items
-	// delivered to a consumer after Seal; shed counts items discarded
-	// undelivered (by Drain() or by closing a buffer that still held
-	// backlog). Both are cumulative and survive Close.
-	DrainStats() (drained, shed int64)
 
 	// Close marks the buffer closed and wakes all blocked operations.
 	Close()
-	// Closed reports whether Close has been called.
-	Closed() bool
 	// Drain discards items still buffered after Close, reporting each
 	// to OnFree, and returns how many it discarded.
 	Drain() int
 
-	// Occupancy returns the current live item count and bytes.
-	Occupancy() (items int, bytes int64)
-	// Stats returns cumulative puts and frees.
-	Stats() (puts, frees int64)
+	// Stats returns one consistent reading of the buffer's books.
+	Stats() Stats
 }

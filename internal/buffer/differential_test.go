@@ -175,7 +175,7 @@ func (o *chanOracle) getAtClass(conn graph.ConnID, ts vt.Timestamp) string {
 //
 // The mixed input interleaves the single-item and batch-of-one entry
 // points (Put/PutBatch, TryGet/Get/GetBatch) and seals the channel half
-// way through, checking DrainStats against the oracle's count of items
+// way through, checking the drain ledger against the oracle's count of items
 // delivered after the seal.
 func TestDifferentialChannel(t *testing.T) {
 	for _, mixed := range []bool{false, true} {
@@ -300,7 +300,7 @@ func diffChannel(t *testing.T, seed int64, mixed bool) {
 			if class == "block" {
 				continue
 			}
-			res, err := b.GetAt(conn, ts)
+			res, err := b.(buffer.AtGetter).GetAt(conn, ts)
 			switch class {
 			case "ok":
 				if err != nil {
@@ -323,11 +323,12 @@ func diffChannel(t *testing.T, seed int64, mixed bool) {
 			}
 
 		default: // accounting parity
-			items, bytes := b.Occupancy()
+			st := b.Stats()
+			items, bytes := st.Items, st.Bytes
 			if items != len(o.live) || bytes != o.bytes {
 				t.Fatalf("op %d: occupancy (%d, %d), oracle (%d, %d)", op, items, bytes, len(o.live), o.bytes)
 			}
-			puts, frees := b.Stats()
+			puts, frees := st.Puts, st.Frees
 			if puts != o.puts || frees != 0 {
 				t.Fatalf("op %d: stats (%d, %d), oracle (%d, 0)", op, puts, frees, o.puts)
 			}
@@ -341,8 +342,8 @@ func diffChannel(t *testing.T, seed int64, mixed bool) {
 // count of items delivered after the seal; nothing is ever shed.
 func checkDrainStats(t *testing.T, b buffer.Buffer, drained int64) {
 	t.Helper()
-	if d, shed := b.DrainStats(); d != drained || shed != 0 {
-		t.Fatalf("drain stats (%d, %d), oracle (%d, 0)", d, shed, drained)
+	if st := b.Stats(); st.Drained != drained || st.Shed != 0 {
+		t.Fatalf("drain stats (%d, %d), oracle (%d, 0)", st.Drained, st.Shed, drained)
 	}
 }
 
@@ -411,17 +412,18 @@ func TestDifferentialQueue(t *testing.T) {
 						t.Fatalf("op %d: tryget ts=%v, oracle %v", op, res.Item.TS, wantTS)
 					}
 
-				case k < 9: // unsupported op reports the typed error
-					if _, err := b.GetAt(consConnA, 1); !errors.Is(err, buffer.ErrUnsupported) {
-						t.Fatalf("op %d: getat on queue: %v, want ErrUnsupported", op, err)
+				case k < 9: // no timestamped access on a FIFO backend
+					if _, ok := b.(buffer.AtGetter); ok {
+						t.Fatalf("op %d: queue implements AtGetter", op)
 					}
 
 				default: // accounting parity, including frees
-					items, bytes := b.Occupancy()
+					st := b.Stats()
+					items, bytes := st.Items, st.Bytes
 					if items != len(o.fifo) || bytes != o.bytes {
 						t.Fatalf("op %d: occupancy (%d, %d), oracle (%d, %d)", op, items, bytes, len(o.fifo), o.bytes)
 					}
-					puts, frees := b.Stats()
+					puts, frees := st.Puts, st.Frees
 					if puts != o.puts || frees != o.frees {
 						t.Fatalf("op %d: stats (%d, %d), oracle (%d, %d)", op, puts, frees, o.puts, o.frees)
 					}
@@ -439,7 +441,7 @@ func TestDifferentialQueue(t *testing.T) {
 // diffMixedFIFO is the mixed differential input shared by the FIFO
 // backends: the single-item and batch-of-one entry points (Put/PutBatch,
 // TryGet/Get/GetBatch) interleaved at random against the FIFO oracle,
-// with a Seal half way through and DrainStats checked against the
+// with a Seal half way through and the drain ledger checked against the
 // oracle's count of items delivered after it.
 func diffMixedFIFO(t *testing.T, b buffer.Buffer, conns []graph.ConnID, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
@@ -519,11 +521,12 @@ func diffMixedFIFO(t *testing.T, b buffer.Buffer, conns []graph.ConnID, seed int
 			}
 
 		default: // accounting parity, including frees and the drain ledger
-			items, bytes := b.Occupancy()
+			st := b.Stats()
+			items, bytes := st.Items, st.Bytes
 			if items != len(o.fifo) || bytes != o.bytes {
 				t.Fatalf("op %d: occupancy (%d, %d), oracle (%d, %d)", op, items, bytes, len(o.fifo), o.bytes)
 			}
-			puts, frees := b.Stats()
+			puts, frees := st.Puts, st.Frees
 			if puts != o.puts || frees != o.frees {
 				t.Fatalf("op %d: stats (%d, %d), oracle (%d, %d)", op, puts, frees, o.puts, o.frees)
 			}
@@ -604,17 +607,18 @@ func TestDifferentialRing(t *testing.T) {
 						}
 					}
 
-				case k < 9: // unsupported op reports the typed error
-					if _, err := b.GetAt(consConnA, 1); !errors.Is(err, buffer.ErrUnsupported) {
-						t.Fatalf("op %d: getat on ring: %v, want ErrUnsupported", op, err)
+				case k < 9: // no timestamped access on a FIFO backend
+					if _, ok := b.(buffer.AtGetter); ok {
+						t.Fatalf("op %d: ring implements AtGetter", op)
 					}
 
 				default: // accounting parity, including frees
-					items, bytes := b.Occupancy()
+					st := b.Stats()
+					items, bytes := st.Items, st.Bytes
 					if items != len(o.fifo) || bytes != o.bytes {
 						t.Fatalf("op %d: occupancy (%d, %d), oracle (%d, %d)", op, items, bytes, len(o.fifo), o.bytes)
 					}
-					puts, frees := b.Stats()
+					puts, frees := st.Puts, st.Frees
 					if puts != o.puts || frees != o.frees {
 						t.Fatalf("op %d: stats (%d, %d), oracle (%d, %d)", op, puts, frees, o.puts, o.frees)
 					}
@@ -729,12 +733,13 @@ func TestRingMPSCHammer(t *testing.T) {
 	if gotBytes != wantBytes {
 		t.Fatalf("delivered bytes = %d, want %d", gotBytes, wantBytes)
 	}
-	puts, frees := b.Stats()
+	st := b.Stats()
+	puts, frees := st.Puts, st.Frees
 	if want := int64(producers * perProducer); puts != want || frees != want {
 		t.Fatalf("stats = %d/%d, want %d/%d", puts, frees, want, want)
 	}
-	if items, bytes := b.Occupancy(); items != 0 || bytes != 0 {
-		t.Fatalf("occupancy = %d/%d, want 0/0", items, bytes)
+	if st := b.Stats(); st.Items != 0 || st.Bytes != 0 {
+		t.Fatalf("occupancy = %d/%d, want 0/0", st.Items, st.Bytes)
 	}
 }
 
@@ -802,7 +807,7 @@ func TestUnifiedDispatchConcurrent(t *testing.T) {
 			go func() {
 				// Close once all puts landed; consumers drain or skip.
 				for {
-					puts, _ := b.Stats()
+					puts := b.Stats().Puts
 					if puts >= producers*perProducer {
 						b.Close()
 						return
@@ -812,7 +817,7 @@ func TestUnifiedDispatchConcurrent(t *testing.T) {
 			}()
 			<-done
 
-			puts, _ := b.Stats()
+			puts := b.Stats().Puts
 			if puts != producers*perProducer {
 				t.Fatalf("puts=%d, want %d", puts, producers*perProducer)
 			}

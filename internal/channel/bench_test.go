@@ -126,7 +126,7 @@ func BenchmarkPutSkip10(b *testing.B) {
 func BenchmarkWindowGet(b *testing.B) {
 	c := New(Config{Name: "b", Clock: clock.NewReal(), Collector: gc.NewDeadTimestamp()})
 	c.AttachProducer(prodConn)
-	c.AttachConsumerWindow(consConn, 8)
+	c.AttachConsumer(consConn, 8)
 	ts := vt.Timestamp(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

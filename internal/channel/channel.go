@@ -67,7 +67,6 @@ var caps = buffer.Caps{
 	Discipline: buffer.Latest,
 	Windows:    true,
 	GetAt:      true,
-	TryGet:     true,
 }
 
 // Channel is a timestamped buffer. All methods are safe for concurrent
@@ -98,9 +97,6 @@ func New(cfg Config) *Channel {
 	return c
 }
 
-// Caps reports the channel backend's capabilities.
-func (c *Channel) Caps() buffer.Caps { return caps }
-
 // AttachConsumer registers an input connection with the given
 // sliding-window width (1 for ordinary consumers). It must happen before
 // the consumer's first get; attaching after items were already collected
@@ -113,17 +109,6 @@ func (c *Channel) AttachConsumer(conn graph.ConnID, window int) error {
 	defer c.Mu.Unlock()
 	c.AttachConsumerLocked(conn, window)
 	return nil
-}
-
-// AttachConsumerWindow registers a consumer that analyzes a sliding
-// window of width n ≥ 1 (the paper's gesture-recognition motif: "a
-// sliding window over a video stream"). After consuming the item at
-// timestamp T the consumer may still re-read items in (T-n, T], so its
-// collection guarantee trails the head by n-1 timestamps. n < 1 panics.
-func (c *Channel) AttachConsumerWindow(conn graph.ConnID, n int) {
-	if err := c.AttachConsumer(conn, n); err != nil {
-		panic(fmt.Sprintf("channel: window width %d < 1 on %q", n, c.Name()))
-	}
 }
 
 // DetachConsumer removes a consumer connection. Its guarantee becomes

@@ -185,9 +185,6 @@ func TestCloseWakesBlockedGetters(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not wake getter")
 	}
-	if !c.Closed() {
-		t.Error("Closed() must report true")
-	}
 	if _, err := c.Put(prodConn, &Item{TS: 9}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("put after close err = %v", err)
 	}
@@ -212,8 +209,8 @@ func TestCloseFreesLiveItems(t *testing.T) {
 	if len(freed) != 2 {
 		t.Fatalf("freed = %v", freed)
 	}
-	if n, b := c.Occupancy(); n != 0 || b != 0 {
-		t.Fatalf("occupancy after close = %d items, %d bytes", n, b)
+	if st := c.Stats(); st.Items != 0 || st.Bytes != 0 {
+		t.Fatalf("occupancy after close = %d items, %d bytes", st.Items, st.Bytes)
 	}
 }
 
@@ -248,8 +245,8 @@ func TestDGCCollectsOnConsumption(t *testing.T) {
 	if nf != 5 {
 		t.Fatalf("freed %d items, want 5 (%v)", nf, freed)
 	}
-	if n, b := c.Occupancy(); n != 0 || b != 0 {
-		t.Fatalf("occupancy = %d/%d after full collection", n, b)
+	if st := c.Stats(); st.Items != 0 || st.Bytes != 0 {
+		t.Fatalf("occupancy = %d/%d after full collection", st.Items, st.Bytes)
 	}
 }
 
@@ -265,13 +262,13 @@ func TestDGCWaitsForSlowestConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Slow consumer hasn't consumed: nothing may be freed.
-	if n, _ := c.Occupancy(); n != 3 {
+	if n := c.Stats().Items; n != 3 {
 		t.Fatalf("occupancy = %d, want 3 (slow consumer holds items)", n)
 	}
 	if _, err := c.Get(consConn2); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := c.Occupancy(); n != 0 {
+	if n := c.Stats().Items; n != 0 {
 		t.Fatalf("occupancy = %d, want 0 after both consumed", n)
 	}
 }
@@ -285,11 +282,11 @@ func TestDetachConsumerReleasesItems(t *testing.T) {
 	if _, err := c.Get(consConn); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := c.Occupancy(); n != 1 {
+	if n := c.Stats().Items; n != 1 {
 		t.Fatal("second consumer must retain the item")
 	}
 	c.DetachConsumer(consConn2)
-	if n, _ := c.Occupancy(); n != 0 {
+	if n := c.Stats().Items; n != 0 {
 		t.Fatal("detach must release retained items")
 	}
 }
@@ -356,13 +353,14 @@ func TestStatsAndOccupancy(t *testing.T) {
 	c := newTestChannel(gc.NewDeadTimestamp())
 	put(t, c, 1, 100)
 	put(t, c, 2, 50)
-	if n, b := c.Occupancy(); n != 2 || b != 150 {
-		t.Fatalf("occupancy = %d/%d", n, b)
+	if st := c.Stats(); st.Items != 2 || st.Bytes != 150 {
+		t.Fatalf("occupancy = %d/%d", st.Items, st.Bytes)
 	}
 	if _, err := c.Get(consConn); err != nil {
 		t.Fatal(err)
 	}
-	puts, frees := c.Stats()
+	st := c.Stats()
+	puts, frees := st.Puts, st.Frees
 	if puts != 2 || frees != 2 {
 		t.Fatalf("stats = %d/%d", puts, frees)
 	}
@@ -427,8 +425,8 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		}(graph.ConnID(100 + k))
 	}
 	wg.Wait()
-	if n, b := c.Occupancy(); n != 0 || b != 0 {
-		t.Fatalf("leftover occupancy %d/%d", n, b)
+	if st := c.Stats(); st.Items != 0 || st.Bytes != 0 {
+		t.Fatalf("leftover occupancy %d/%d", st.Items, st.Bytes)
 	}
 }
 

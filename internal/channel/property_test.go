@@ -137,7 +137,8 @@ func TestChannelMatchesReferenceModel(t *testing.T) {
 				ref.sweep()
 
 			default: // occupancy audit
-				items, bytes := ch.Occupancy()
+				st := ch.Stats()
+				items, bytes := st.Items, st.Bytes
 				var refBytes int64
 				for _, s := range ref.live {
 					refBytes += s
@@ -149,7 +150,7 @@ func TestChannelMatchesReferenceModel(t *testing.T) {
 			}
 		}
 		// Final audit.
-		items, _ := ch.Occupancy()
+		items := ch.Stats().Items
 		if items != len(ref.live) {
 			t.Fatalf("seed %d: final occupancy %d vs reference %d", seed, items, len(ref.live))
 		}

@@ -48,7 +48,7 @@ func TestBoundedStorage(t *testing.T) {
 		if got := c.history.Runs(); got != 1 {
 			t.Errorf("window %d: put history holds %d runs for a dense stream, want 1", window, got)
 		}
-		if items, _ := c.Occupancy(); items > window {
+		if items := c.Stats().Items; items > window {
 			t.Errorf("window %d: %d items live after the last get, want ≤ %d", window, items, window)
 		}
 	}
@@ -71,18 +71,18 @@ func TestSparseOutOfOrderPuts(t *testing.T) {
 	if res.Item.TS != 5 || len(res.Skipped) != 3 || res.Skipped[0].TS != 1 || res.Skipped[1].TS != 2 || res.Skipped[2].TS != 3 {
 		t.Fatalf("Get = head %v skipped %v, want head 5 over 1, 2, 3 in order", res.Item.TS, res.Skipped)
 	}
-	if items, _ := c.Occupancy(); items != 0 {
+	if items := c.Stats().Items; items != 0 {
 		t.Fatalf("%d items live after the consumer passed them all, want 0", items)
 	}
 
 	// A late put of a never-put timestamp below the guarantee is accepted
 	// and freed on the spot.
-	_, freesBefore := c.Stats()
+	freesBefore := c.Stats().Frees
 	put(t, c, 4, 10)
-	if items, _ := c.Occupancy(); items != 0 {
+	if items := c.Stats().Items; items != 0 {
 		t.Fatalf("late dead put stayed live: %d items", items)
 	}
-	if _, frees := c.Stats(); frees != freesBefore+1 {
+	if frees := c.Stats().Frees; frees != freesBefore+1 {
 		t.Fatalf("frees = %d after a late dead put, want %d", frees, freesBefore+1)
 	}
 	if got := c.history.Runs(); got != 1 {

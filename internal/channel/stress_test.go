@@ -47,7 +47,9 @@ func TestChannelConcurrentWindowConsumersProperty(t *testing.T) {
 	consConns := make([]graph.ConnID, consumers+1)
 	for i := 0; i < consumers; i++ {
 		consConns[i] = graph.ConnID(200 + i)
-		c.AttachConsumerWindow(consConns[i], width)
+		if err := c.AttachConsumer(consConns[i], width); err != nil {
+			t.Fatal(err)
+		}
 	}
 	consConns[consumers] = graph.ConnID(299) // plain width-1 consumer
 	c.AttachConsumer(consConns[consumers], 1)
@@ -138,9 +140,9 @@ func TestChannelConcurrentWindowConsumersProperty(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if puts, frees := c.Stats(); puts != producers*perProd || frees != puts {
+	if st := c.Stats(); st.Puts != producers*perProd || st.Frees != st.Puts {
 		t.Errorf("puts=%d frees=%d, want %d puts all freed on close",
-			puts, frees, producers*perProd)
+			st.Puts, st.Frees, producers*perProd)
 	}
 }
 

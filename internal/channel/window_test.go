@@ -1,8 +1,10 @@
 package channel
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/clock"
 	"repro/internal/gc"
 	"repro/internal/graph"
@@ -13,7 +15,9 @@ func newWindowChannel(t *testing.T, width int) *Channel {
 	t.Helper()
 	c := New(Config{Name: "w", Clock: clock.NewReal(), Collector: gc.NewDeadTimestamp()})
 	c.AttachProducer(prodConn)
-	c.AttachConsumerWindow(consConn, width)
+	if err := c.AttachConsumer(consConn, width); err != nil {
+		t.Fatal(err)
+	}
 	return c
 }
 
@@ -39,7 +43,7 @@ func TestWindowDeliversTrailingItems(t *testing.T) {
 	}
 	// DGC frees ts ≤ guarantee = 3: items 1, 2, 3 gone; 4, 5 retained
 	// for the next window.
-	if n, _ := c.Occupancy(); n != 2 {
+	if n := c.Stats().Items; n != 2 {
 		t.Fatalf("occupancy = %d, want 2 retained", n)
 	}
 }
@@ -80,7 +84,7 @@ func TestWindowWidthOnePreservesOldSemantics(t *testing.T) {
 	if len(res.Window) != 0 {
 		t.Fatalf("width-1 window must be empty, got %v", res.Window)
 	}
-	if n, _ := c.Occupancy(); n != 0 {
+	if n := c.Stats().Items; n != 0 {
 		t.Fatalf("occupancy = %d, want full collection", n)
 	}
 }
@@ -123,33 +127,30 @@ func TestWindowMixedConsumers(t *testing.T) {
 	c := New(Config{Name: "w", Clock: clock.NewReal(), Collector: gc.NewDeadTimestamp()})
 	c.AttachProducer(prodConn)
 	c.AttachConsumer(consConn, 1)
-	c.AttachConsumerWindow(consConn2, 3)
+	c.AttachConsumer(consConn2, 3)
 	for ts := vt.Timestamp(1); ts <= 5; ts++ {
 		put(t, c, ts, 10)
 	}
 	if _, err := c.Get(consConn); err != nil { // plain: guarantee 5
 		t.Fatal(err)
 	}
-	if n, _ := c.Occupancy(); n != 5 {
+	if n := c.Stats().Items; n != 5 {
 		t.Fatalf("window consumer must retain everything, occupancy %d", n)
 	}
 	if _, err := c.Get(consConn2); err != nil { // window: guarantee 3
 		t.Fatal(err)
 	}
 	// min(5, 3) = 3 → items 1..3 freed, 4, 5 retained.
-	if n, _ := c.Occupancy(); n != 2 {
+	if n := c.Stats().Items; n != 2 {
 		t.Fatalf("occupancy = %d, want 2", n)
 	}
 }
 
 func TestAttachConsumerWindowValidation(t *testing.T) {
 	c := New(Config{Name: "w", Clock: clock.NewReal()})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("width 0 must panic")
-		}
-	}()
-	c.AttachConsumerWindow(graph.ConnID(1), 0)
+	if err := c.AttachConsumer(graph.ConnID(1), 0); !errors.Is(err, buffer.ErrUnsupported) {
+		t.Fatalf("width 0: %v, want ErrUnsupported", err)
+	}
 }
 
 // TestWindowTryGetLatestWideWindow exercises the non-blocking path with a
@@ -178,7 +179,7 @@ func TestWindowTryGetLatestWideWindow(t *testing.T) {
 		t.Fatalf("guarantee = %v, want 3", g)
 	}
 	// DGC frees ts ≤ 3; items 4, 5 are retained for the next window.
-	if n, _ := c.Occupancy(); n != 2 {
+	if n := c.Stats().Items; n != 2 {
 		t.Fatalf("occupancy = %d, want 2 retained", n)
 	}
 	// Nothing newer than the last head: miss without state change.
@@ -240,7 +241,7 @@ func TestWindowTryGetLatestSparse(t *testing.T) {
 		t.Fatalf("skipped = %+v", res.Skipped)
 	}
 	// Both items stay live: guarantee 2-4+1 = -1 < 1.
-	if n, _ := c.Occupancy(); n != 2 {
+	if n := c.Stats().Items; n != 2 {
 		t.Fatalf("occupancy = %d, want 2", n)
 	}
 }

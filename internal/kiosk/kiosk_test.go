@@ -74,7 +74,7 @@ func run(t *testing.T, cfg Config, d time.Duration) (*trace.Analysis, int) {
 		t.Fatal(err)
 	}
 	app.Runtime.Clock().Sleep(d)
-	qItems, _ := app.Runtime.Buffer(app.DecisionQueue).Occupancy()
+	qItems := app.Runtime.Buffer(app.DecisionQueue).Stats().Items
 	app.Runtime.Stop()
 	if hasReg {
 		reg.Add(-1)

@@ -59,7 +59,8 @@ func TestQueueMatchesReferenceFIFO(t *testing.T) {
 				}
 
 			default: // audit
-				items, bytes := q.Occupancy()
+				st := q.Stats()
+				items, bytes := st.Items, st.Bytes
 				var refBytes int64
 				for _, it := range ref {
 					refBytes += it.size
@@ -73,8 +74,8 @@ func TestQueueMatchesReferenceFIFO(t *testing.T) {
 				}
 			}
 		}
-		if q.Puts() != int64(nextTS) {
-			t.Fatalf("seed %d: Puts %d vs %d", seed, q.Puts(), nextTS)
+		if q.Stats().Puts != int64(nextTS) {
+			t.Fatalf("seed %d: Puts %d vs %d", seed, q.Stats().Puts, nextTS)
 		}
 	}
 }

@@ -54,7 +54,6 @@ func init() {
 
 var caps = buffer.Caps{
 	Discipline: buffer.FIFO,
-	TryGet:     true,
 }
 
 // Queue is a FIFO of timestamped items, safe for concurrent use.
@@ -76,9 +75,6 @@ func New(cfg Config) *Queue {
 
 // queued returns the number of items currently buffered.
 func (q *Queue) queued() int { return len(q.items) - q.head }
-
-// Caps reports the queue backend's capabilities.
-func (q *Queue) Caps() buffer.Caps { return caps }
 
 // AttachConsumer registers an input connection. Queues hand each item to
 // exactly one consumer, so sliding windows are meaningless: window > 1 is
@@ -255,11 +251,6 @@ func (q *Queue) get(conn graph.ConnID, dst []GetResult, block bool) (int, error)
 	}
 }
 
-// GetAt is unsupported: a FIFO queue cannot consume by timestamp.
-func (q *Queue) GetAt(conn graph.ConnID, ts vt.Timestamp) (GetResult, error) {
-	return GetResult{}, fmt.Errorf("%w: GetAt on FIFO queue %q", buffer.ErrUnsupported, q.Name())
-}
-
 // dequeueLocked removes and accounts the head item, returning a snapshot.
 // The item's storage leaves the queue here: OnFree observes it, one
 // capacity waiter is woken (matching a channel free), and the item goes
@@ -320,12 +311,6 @@ func (q *Queue) Drain() int {
 	q.head = 0
 	q.BroadcastFullLocked()
 	return n
-}
-
-// Puts returns the cumulative number of enqueued items.
-func (q *Queue) Puts() int64 {
-	puts, _ := q.Stats()
-	return puts
 }
 
 // LastDequeued returns the highest timestamp dequeued so far, or vt.None.

@@ -40,8 +40,8 @@ func TestFIFOOrder(t *testing.T) {
 			t.Fatalf("dequeued %v, want %v", res.Item.TS, want)
 		}
 	}
-	if n, b := q.Occupancy(); n != 0 || b != 0 {
-		t.Fatalf("occupancy = %d/%d", n, b)
+	if st := q.Stats(); st.Items != 0 || st.Bytes != 0 {
+		t.Fatalf("occupancy = %d/%d", st.Items, st.Bytes)
 	}
 	if q.LastDequeued() != 5 {
 		t.Fatalf("LastDequeued = %v", q.LastDequeued())
@@ -124,9 +124,6 @@ func TestCloseDrainsThenErrClosed(t *testing.T) {
 	if _, err := q.Put(prod, &Item{TS: 2}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("put after close err = %v", err)
 	}
-	if !q.Closed() {
-		t.Error("Closed must report true")
-	}
 	q.Close() // idempotent
 }
 
@@ -180,8 +177,8 @@ func TestOnFreeAndDrain(t *testing.T) {
 	if len(freed) != 2 || freed[0] != 1 || freed[1] != 2 {
 		t.Fatalf("freed = %v", freed)
 	}
-	if n, b := q.Occupancy(); n != 0 || b != 0 {
-		t.Fatalf("occupancy = %d/%d", n, b)
+	if st := q.Stats(); st.Items != 0 || st.Bytes != 0 {
+		t.Fatalf("occupancy = %d/%d", st.Items, st.Bytes)
 	}
 }
 
@@ -235,8 +232,8 @@ func TestEachItemDeliveredOnce(t *testing.T) {
 			t.Fatalf("item %v delivered %d times", ts, count)
 		}
 	}
-	if q.Puts() != n {
-		t.Fatalf("Puts = %d", q.Puts())
+	if q.Stats().Puts != n {
+		t.Fatalf("Puts = %d", q.Stats().Puts)
 	}
 }
 
@@ -272,7 +269,7 @@ func TestBoundedStorage(t *testing.T) {
 	if got, max := cap(q.items), 2*capacity+64; got > max {
 		t.Errorf("cap(items) = %d after %d puts, want ≤ %d", got, puts, max)
 	}
-	if items, _ := q.Occupancy(); items != backlog {
+	if items := q.Stats().Items; items != backlog {
 		t.Errorf("%d items queued after the last get, want %d", items, backlog)
 	}
 }

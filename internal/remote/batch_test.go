@@ -142,7 +142,7 @@ func buildBatchPipeline(t *testing.T, addr string, maxRetries int) (*runtime.Run
 // monotone across batch boundaries.
 func assertBatchOracle(t *testing.T, s *Server, ctr *batchCounters) {
 	t.Helper()
-	puts, _ := s.Channel("frames").Stats()
+	puts := s.Channel("frames").Stats().Puts
 	acked, attempts := ctr.acked.Load(), ctr.attempts.Load()
 	if puts < acked || puts > attempts {
 		t.Fatalf("server puts = %d outside [acked %d, attempts %d]: lost or duplicated batch inserts", puts, acked, attempts)

@@ -33,7 +33,6 @@ const (
 // use a real clock.
 var endpointCaps = buffer.Caps{
 	Discipline: buffer.Latest,
-	TryGet:     true,
 	Remote:     true,
 }
 
@@ -73,7 +72,6 @@ type Endpoint struct {
 	sealed    bool
 	inflight  int // wire puts currently outstanding
 	puts      int64
-	frees     int64
 	drained   int64 // items served to a consumer after Seal
 
 	// inst are the per-buffer families every backend registers. The
@@ -113,15 +111,6 @@ func NewEndpoint(cfg buffer.Config) (*Endpoint, error) {
 	e.inst = buffer.NewInstruments(cfg)
 	return e, nil
 }
-
-// Name returns the endpoint's local (graph) name.
-func (e *Endpoint) Name() string { return e.cfg.Name }
-
-// Node returns the endpoint's task-graph id.
-func (e *Endpoint) Node() graph.NodeID { return e.cfg.Node }
-
-// Caps reports the wire-backed backend's capabilities.
-func (e *Endpoint) Caps() buffer.Caps { return endpointCaps }
 
 // dialConfig translates the endpoint's buffer.RemoteTuning into the
 // client layer's DialConfig for one attachment.
@@ -317,7 +306,7 @@ func (e *Endpoint) Get(conn graph.ConnID) (buffer.GetResult, error) {
 	if err != nil {
 		return buffer.GetResult{}, err
 	}
-	if e.Sealed() {
+	if e.isSealed() {
 		// Sealed: local producers can no longer put, so a blocking wait
 		// would hang on a flushed channel. Serve whatever is still fresh
 		// without blocking; nothing fresh means the flush completed.
@@ -353,7 +342,7 @@ func (e *Endpoint) TryGet(conn graph.ConnID) (buffer.GetResult, bool, error) {
 		return buffer.GetResult{}, false, e.wireErr(err)
 	}
 	if !ok {
-		if e.Sealed() {
+		if e.isSealed() {
 			// Sealed with nothing fresh: the flush completed.
 			return buffer.GetResult{}, false, buffer.ErrClosed
 		}
@@ -361,11 +350,6 @@ func (e *Endpoint) TryGet(conn graph.ConnID) (buffer.GetResult, bool, error) {
 	}
 	e.noteDelivered(1)
 	return e.result(it, 0), true, err // nil or informational
-}
-
-// GetAt is unsupported: the wire protocol serves freshest-unseen only.
-func (e *Endpoint) GetAt(conn graph.ConnID, ts vt.Timestamp) (buffer.GetResult, error) {
-	return buffer.GetResult{}, fmt.Errorf("%w: GetAt on wire-backed endpoint %q", buffer.ErrUnsupported, e.cfg.Name)
 }
 
 // consumerSummary reads the consuming thread's summary-STP to piggyback
@@ -417,13 +401,6 @@ func (e *Endpoint) Close() {
 	}
 }
 
-// Closed reports whether Close has been called.
-func (e *Endpoint) Closed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
-}
-
 // beginPut admits a wire put: sealed endpoints reject it with
 // ErrDraining, open ones count it in-flight so Drained waits for its
 // round trip (including any redial+replay cycle) to complete.
@@ -470,8 +447,8 @@ func (e *Endpoint) Seal() {
 	e.mu.Unlock()
 }
 
-// Sealed reports whether Seal has been called.
-func (e *Endpoint) Sealed() bool {
+// isSealed reports whether Seal has been called.
+func (e *Endpoint) isSealed() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.sealed
@@ -488,34 +465,23 @@ func (e *Endpoint) Drained() bool {
 	return e.sealed && e.inflight == 0
 }
 
-// DrainStats returns the drain accounting: drained counts items served
-// to a local consumer after Seal; shed is always 0 — the endpoint never
-// discards items, their storage belongs to the server.
-func (e *Endpoint) DrainStats() (drained, shed int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.drained, 0
-}
-
 // Drain reports 0: buffered items live on the server, which reclaims
 // them through its own collector.
 func (e *Endpoint) Drain() int { return 0 }
 
-// Occupancy queries the hosted channel's occupancy over a fresh
-// connection; it reports zeros when the server is unreachable (e.g.
-// after shutdown).
-func (e *Endpoint) Occupancy() (items int, bytes int64) {
-	items, bytes, err := Stats(e.cfg.Addr, e.name)
-	if err != nil {
-		return 0, 0
+// Stats reads the endpoint's books. Items and Bytes are the hosted
+// channel's occupancy, queried over a fresh connection bounded by the
+// endpoint's CallTimeout; they read zero when the server is unreachable
+// (e.g. after shutdown). Puts and Drained are counted locally. Frees,
+// the high-water marks and Shed happen on the server and read zero, as
+// does PutBlocked: a wire put has no local capacity to block on.
+func (e *Endpoint) Stats() buffer.Stats {
+	var st buffer.Stats
+	if items, bytes, err := Stats(e.cfg.Addr, e.name, e.cfg.Remote.CallTimeout); err == nil {
+		st.Items, st.Bytes = items, bytes
 	}
-	return items, bytes
-}
-
-// Stats returns the endpoint's local put count. Frees happen on the
-// server and are not visible here; they read as 0.
-func (e *Endpoint) Stats() (puts, frees int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.puts, e.frees
+	st.Puts, st.Drained = e.puts, e.drained
+	return st
 }

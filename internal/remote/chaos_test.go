@@ -165,7 +165,7 @@ func stopAndWait(t *testing.T, rt *runtime.Runtime) {
 // exactly once, and nothing was applied that was never attempted.
 func assertNoDuplicates(t *testing.T, s *Server, ctr *chaosCounters) {
 	t.Helper()
-	puts, _ := s.Channel("frames").Stats()
+	puts := s.Channel("frames").Stats().Puts
 	acked, attempts := ctr.acked.Load(), ctr.attempts.Load()
 	if puts < acked || puts > attempts {
 		t.Fatalf("server puts = %d outside [acked %d, attempts %d]: lost or duplicated inserts", puts, acked, attempts)
@@ -339,7 +339,7 @@ func TestChaosServerRestart(t *testing.T) {
 	if p.ctr.orderBreaks.Load() != 0 {
 		t.Fatalf("display saw %d timestamp regressions across the restart", p.ctr.orderBreaks.Load())
 	}
-	if puts, _ := srv2.Channel("frames").Stats(); puts == 0 {
+	if puts := srv2.Channel("frames").Stats().Puts; puts == 0 {
 		t.Fatal("new server never received a put")
 	}
 	if p.ctr.reattaches.Load() == 0 {

@@ -276,15 +276,19 @@ func (c *Consumer) Reattaches() int64 { return c.r.Reattaches() }
 // Close releases the connection.
 func (c *Consumer) Close() error { c.r.Close(); return nil }
 
-// Stats queries a channel's occupancy over a fresh connection.
-func Stats(addr, channel string) (items int, bytes int64, err error) {
-	nc, err := dialTCP(addr, defaultCallTimeout)
+// Stats queries a channel's occupancy over a fresh connection. timeout
+// bounds the dial and the round trip; zero means the default (5s).
+func Stats(addr, channel string, timeout time.Duration) (items int, bytes int64, err error) {
+	if timeout <= 0 {
+		timeout = defaultCallTimeout
+	}
+	nc, err := dialTCP(addr, timeout)
 	if err != nil {
 		return 0, 0, fmt.Errorf("remote: dial %s: %w", addr, err)
 	}
-	c := newConn(nc, defaultCallTimeout)
+	c := newConn(nc, timeout)
 	defer c.close()
-	resp, err := c.call(&Request{Op: OpStats, Channel: channel}, defaultCallTimeout)
+	resp, err := c.call(&Request{Op: OpStats, Channel: channel}, timeout)
 	if err != nil {
 		return 0, 0, err
 	}

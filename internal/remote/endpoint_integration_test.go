@@ -69,7 +69,7 @@ func TestRuntimeOverWireBackedEndpoint(t *testing.T) {
 	}
 
 	// Frames crossed the wire.
-	puts, _ := rt.Buffer(ch).Stats()
+	puts := rt.Buffer(ch).Stats().Puts
 	if puts == 0 {
 		t.Fatal("no puts reached the wire-backed endpoint")
 	}

@@ -269,7 +269,7 @@ func TestServerRefusesOversizePut(t *testing.T) {
 	if resp.OK || resp.Err == "" {
 		t.Fatalf("oversize put answered %+v, want a refusal", resp)
 	}
-	if items, _ := sess.hosted.ch.Occupancy(); items != 0 {
+	if items := sess.hosted.ch.Stats().Items; items != 0 {
 		t.Fatalf("refused put left %d items in the channel", items)
 	}
 	s.detach(&sess)

@@ -219,10 +219,10 @@ func TestIdempotentPutNoDoubleInsert(t *testing.T) {
 	// Oracle: exactly two puts were applied — the retry did not
 	// double-insert.
 	ch := s.Channel("frames")
-	if puts, _ := ch.Stats(); puts != 2 {
+	if puts := ch.Stats().Puts; puts != 2 {
 		t.Fatalf("server puts = %d, want 2 (idempotent retry)", puts)
 	}
-	if items, _ := ch.Occupancy(); items != 2 {
+	if items := ch.Stats().Items; items != 2 {
 		t.Fatalf("occupancy = %d items, want 2", items)
 	}
 
@@ -230,7 +230,7 @@ func TestIdempotentPutNoDoubleInsert(t *testing.T) {
 	if _, err := prod.Put(3, []byte("c"), 0); err != nil {
 		t.Fatalf("put after heal: %v", err)
 	}
-	if puts, _ := ch.Stats(); puts != 3 {
+	if puts := ch.Stats().Puts; puts != 3 {
 		t.Fatalf("server puts = %d, want 3", puts)
 	}
 }

@@ -3,10 +3,12 @@ package remote
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/vt"
 )
@@ -224,15 +226,63 @@ func TestStats(t *testing.T) {
 	cons, _ := DialConsumer(s.Addr(), "frames")
 	defer cons.Close()
 	prod.Put(1, []byte("abcd"), 0)
-	items, bytes, err := Stats(s.Addr(), "frames")
+	items, bytes, err := Stats(s.Addr(), "frames", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if items != 1 || bytes != 4 {
 		t.Fatalf("stats = %d/%d", items, bytes)
 	}
-	if _, _, err := Stats(s.Addr(), "nope"); err == nil {
+	if _, _, err := Stats(s.Addr(), "nope", 0); err == nil {
 		t.Error("unknown channel stats must fail")
+	}
+}
+
+// TestEndpointStatsHonoursCallTimeout points an endpoint tuned to a 50 ms
+// CallTimeout at a listener that accepts and never answers: the
+// occupancy query behind every Snapshot must give up within that bound
+// and read zero, not wait out the 5 s default.
+func TestEndpointStatsHonoursCallTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	e, err := NewEndpoint(buffer.Config{
+		Name:   "silent",
+		Addr:   ln.Addr().String(),
+		Remote: buffer.RemoteTuning{CallTimeout: 50 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	st := e.Stats()
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("Stats took %v against a silent peer, want well under 1s (CallTimeout 50ms)", took)
+	}
+	if st.Items != 0 || st.Bytes != 0 {
+		t.Fatalf("occupancy = %d/%d from a silent peer, want 0/0", st.Items, st.Bytes)
 	}
 }
 

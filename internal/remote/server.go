@@ -427,8 +427,8 @@ func (s *Server) handle(sess *session, req *Request) Response {
 		if !ok {
 			return Response{Err: fmt.Sprintf("remote: unknown channel %q", req.Channel)}
 		}
-		items, bytes := h.ch.Occupancy()
-		return Response{OK: true, Items: items, Bytes: bytes}
+		st := h.ch.Stats()
+		return Response{OK: true, Items: st.Items, Bytes: st.Bytes}
 
 	case OpDetach:
 		s.detach(sess)

@@ -60,7 +60,6 @@ func init() {
 
 var caps = buffer.Caps{
 	Discipline: buffer.FIFO,
-	TryGet:     true,
 }
 
 // spins bounds the Gosched spin phase before a waiter parks on the slow
@@ -176,15 +175,6 @@ func spinBudget(c clock.Clock) int {
 	}
 	return spins
 }
-
-// Name returns the buffer's system-wide unique name.
-func (r *Ring) Name() string { return r.cfg.Name }
-
-// Node returns the buffer's task-graph id.
-func (r *Ring) Node() graph.NodeID { return r.cfg.Node }
-
-// Caps reports the ring backend's capabilities.
-func (r *Ring) Caps() buffer.Caps { return caps }
 
 // Capacity returns the ring's slot count (the declared capacity rounded
 // up to a power of two).
@@ -611,11 +601,6 @@ func (r *Ring) noteDelivered(n int) {
 	}
 }
 
-// GetAt is unsupported: a FIFO ring cannot consume by timestamp.
-func (r *Ring) GetAt(conn graph.ConnID, ts vt.Timestamp) (buffer.GetResult, error) {
-	return buffer.GetResult{}, fmt.Errorf("%w: GetAt on ring %q", buffer.ErrUnsupported, r.cfg.Name)
-}
-
 // WouldBeDead reports false in normal operation — ring items are handed
 // to the consumer and never skipped — and true once every consumer has
 // failed permanently.
@@ -640,12 +625,6 @@ func (r *Ring) Drained() bool {
 	return r.sealed.Load() && r.tail.Load() == r.head.Load()
 }
 
-// DrainStats returns the cumulative drain accounting: items popped by
-// the consumer after Seal, and items discarded undelivered by Drain.
-func (r *Ring) DrainStats() (drained, shed int64) {
-	return r.drainedN.Load(), r.shedN.Load()
-}
-
 // Close marks the ring closed and wakes every blocked operation; the
 // consumer drains remaining items, then sees ErrClosed.
 func (r *Ring) Close() {
@@ -657,9 +636,6 @@ func (r *Ring) Close() {
 	r.notFull.Wake(r.cfg.Clock, -1)
 	r.mu.Unlock()
 }
-
-// Closed reports whether Close has been called.
-func (r *Ring) Closed() bool { return r.closed.Load() }
 
 // Drain discards items still buffered after Close, reporting each to
 // OnFree and counting it as explicitly shed, and returns how many it
@@ -684,19 +660,17 @@ func (r *Ring) Drain() int {
 	return total
 }
 
-// Occupancy returns the current live item count and bytes.
-func (r *Ring) Occupancy() (items int, bytes int64) {
-	return int(r.tail.Load() - r.head.Load()), r.liveBytes.Load()
-}
-
-// Stats returns cumulative puts and frees.
-func (r *Ring) Stats() (puts, frees int64) {
-	return r.puts.Load(), r.frees.Load()
-}
-
-// PutBlocked returns the cumulative time producers spent parked on a
-// full ring and the number of parks that waited. Implements
-// buffer.PutBlocker.
-func (r *Ring) PutBlocked() (time.Duration, int64) {
-	return time.Duration(r.putBlockedNs.Load()), r.putBlockedN.Load()
+// Stats reads the ring's books. The hot paths keep each counter in its
+// own atomic, so Stats loads them one by one: every field is a value the
+// counter really held, but the reading promises no cross-field identity
+// (Puts - Frees may differ from Items while items are in flight).
+func (r *Ring) Stats() buffer.Stats {
+	return buffer.Stats{
+		Items: int(r.tail.Load() - r.head.Load()), Bytes: r.liveBytes.Load(),
+		Puts: r.puts.Load(), Frees: r.frees.Load(),
+		HighWaterItems: r.MItemsHW.Value(), HighWaterBytes: r.MBytesHW.Value(),
+		PutBlocked:      time.Duration(r.putBlockedNs.Load()),
+		PutBlockedCount: r.putBlockedN.Load(),
+		Drained:         r.drainedN.Load(), Shed: r.shedN.Load(),
+	}
 }

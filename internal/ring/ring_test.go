@@ -61,8 +61,8 @@ func TestAttachmentShape(t *testing.T) {
 	if err := r.AttachConsumer(consConn, 2); !errors.Is(err, buffer.ErrUnsupported) {
 		t.Errorf("window 2: %v, want ErrUnsupported", err)
 	}
-	if _, err := r.GetAt(consConn, 1); !errors.Is(err, buffer.ErrUnsupported) {
-		t.Errorf("GetAt: %v, want ErrUnsupported", err)
+	if _, ok := any(r).(buffer.AtGetter); ok {
+		t.Error("ring implements AtGetter: a FIFO cannot consume by timestamp")
 	}
 	if _, err := r.Put(graph.ConnID(99), &buffer.Item{TS: 1}); !errors.Is(err, buffer.ErrNotAttached) {
 		t.Errorf("unattached put: %v, want ErrNotAttached", err)
@@ -88,12 +88,13 @@ func TestSPSCOrder(t *testing.T) {
 			t.Fatalf("got ts %v, want %v (FIFO order)", res.Item.TS, ts)
 		}
 	}
-	puts, frees := r.Stats()
+	st := r.Stats()
+	puts, frees := st.Puts, st.Frees
 	if puts != 100 || frees != 100 {
 		t.Fatalf("stats = %d/%d, want 100/100", puts, frees)
 	}
-	if items, bytes := r.Occupancy(); items != 0 || bytes != 0 {
-		t.Fatalf("occupancy = %d/%d after drain, want 0/0", items, bytes)
+	if st := r.Stats(); st.Items != 0 || st.Bytes != 0 {
+		t.Fatalf("occupancy = %d/%d after drain, want 0/0", st.Items, st.Bytes)
 	}
 }
 
@@ -232,7 +233,8 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Fatalf("got[%d] = %v, want %v (FIFO across batches)", i, ts, i+1)
 		}
 	}
-	puts, frees := r.Stats()
+	st := r.Stats()
+	puts, frees := st.Puts, st.Frees
 	if puts != int64(len(items)) || frees != int64(len(items)) {
 		t.Fatalf("stats = %d/%d, want %d/%d", puts, frees, len(items), len(items))
 	}
@@ -301,7 +303,8 @@ func TestDrainConcurrentWithConsumer(t *testing.T) {
 	drained := r.Drain()
 	<-done
 	drained += r.Drain() // anything the consumer left behind after exit
-	puts, frees := r.Stats()
+	st := r.Stats()
+	puts, frees := st.Puts, st.Frees
 	if puts != total {
 		t.Fatalf("puts = %d, want %d", puts, total)
 	}
@@ -311,8 +314,8 @@ func TestDrainConcurrentWithConsumer(t *testing.T) {
 	if consumed+int64(drained) != total {
 		t.Fatalf("consumer %d + drain %d = %d, want %d", consumed, drained, consumed+int64(drained), total)
 	}
-	if items, bytes := r.Occupancy(); items != 0 || bytes != 0 {
-		t.Fatalf("occupancy = %d/%d, want 0/0", items, bytes)
+	if st := r.Stats(); st.Items != 0 || st.Bytes != 0 {
+		t.Fatalf("occupancy = %d/%d, want 0/0", st.Items, st.Bytes)
 	}
 }
 
@@ -375,12 +378,13 @@ func TestMPSCProducers(t *testing.T) {
 			t.Fatalf("ts %v delivered %d times, want exactly once", ts, n)
 		}
 	}
-	puts, frees := r.Stats()
+	st := r.Stats()
+	puts, frees := st.Puts, st.Frees
 	if want := int64(producers * perProducer); puts != want || frees != want {
 		t.Fatalf("stats = %d/%d, want %d/%d", puts, frees, want, want)
 	}
-	if items, bytes := r.Occupancy(); items != 0 || bytes != 0 {
-		t.Fatalf("occupancy = %d/%d, want 0/0", items, bytes)
+	if st := r.Stats(); st.Items != 0 || st.Bytes != 0 {
+		t.Fatalf("occupancy = %d/%d, want 0/0", st.Items, st.Bytes)
 	}
 }
 
@@ -434,8 +438,8 @@ func TestPerProducerFIFO(t *testing.T) {
 
 func TestHighWaterWithMetricsOff(t *testing.T) {
 	r := newRing(t, 8)
-	if items, bytes := r.HighWater(); items != 0 || bytes != 0 {
-		t.Fatalf("high water without metrics = %d/%d, want 0/0", items, bytes)
+	if st := r.Stats(); st.HighWaterItems != 0 || st.HighWaterBytes != 0 {
+		t.Fatalf("high water without metrics = %d/%d, want 0/0", st.HighWaterItems, st.HighWaterBytes)
 	}
 }
 
@@ -446,13 +450,14 @@ func TestRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Caps(); got.Discipline != buffer.FIFO || !got.TryGet {
+	if _, ok := b.(*Ring); !ok {
+		t.Fatalf("registry built %T, want *Ring", b)
+	}
+	be, ok := buffer.Lookup("ring")
+	if !ok {
+		t.Fatal(`"ring" is not registered`)
+	}
+	if got := be.Caps; got.Discipline != buffer.FIFO || got.GetAt || got.Windows || got.Remote {
 		t.Fatalf("caps = %+v", got)
-	}
-	if b.Name() != "viaRegistry" {
-		t.Fatalf("name = %q", b.Name())
-	}
-	if b.Node() != 0 {
-		t.Fatalf("node = %v, want 0", b.Node())
 	}
 }

@@ -116,7 +116,7 @@ func runVirtual(t *testing.T, producers, n int, stopAt time.Duration, stop func(
 	if !parkedAtStop {
 		t.Fatalf("no producer was parked at %v: the stop did not test a parked wait", stopAt)
 	}
-	if _, blockedPuts := r.PutBlocked(); blockedPuts == 0 {
+	if blockedPuts := r.Stats().PutBlockedCount; blockedPuts == 0 {
 		t.Fatal("PutBlocked counted no parked put: the producers never parked")
 	}
 	return out

@@ -121,10 +121,10 @@ func (rt *Runtime) Drain(timeout time.Duration) DrainReport {
 	collect := func(dur time.Duration, clean bool) DrainReport {
 		rep := DrainReport{Duration: dur, Clean: clean}
 		for _, br := range brefs {
-			d, s := br.b.DrainStats()
-			rep.Drained += d
-			rep.Shed += s
-			rep.Buffers = append(rep.Buffers, BufferDrain{Name: br.name, Drained: d, Shed: s})
+			st := br.b.Stats()
+			rep.Drained += st.Drained
+			rep.Shed += st.Shed
+			rep.Buffers = append(rep.Buffers, BufferDrain{Name: br.name, Drained: st.Drained, Shed: st.Shed})
 		}
 		sort.Slice(rep.Buffers, func(i, j int) bool { return rep.Buffers[i].Name < rep.Buffers[j].Name })
 		return rep

@@ -169,7 +169,7 @@ func TestBoundedChannelBackpressure(t *testing.T) {
 	}
 	// DGC with a single consumer: occupancy bounded by capacity.
 	ch := rt.Channel(c1)
-	if n, _ := ch.Occupancy(); n > 2 {
+	if n := ch.Stats().Items; n > 2 {
 		t.Errorf("occupancy %d exceeds capacity 2", n)
 	}
 }

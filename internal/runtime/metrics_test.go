@@ -370,7 +370,7 @@ func TestMetricsHTTPEndpoint(t *testing.T) {
 			}
 		}
 	}
-	puts, _ := rt.Buffer(ch).Stats()
+	puts := rt.Buffer(ch).Stats().Puts
 	if putsJSON != float64(puts) || puts != n {
 		t.Errorf("puts: JSON endpoint %v, buffer Stats %d, want %d", putsJSON, puts, n)
 	}

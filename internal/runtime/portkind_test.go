@@ -4,8 +4,11 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/queue"
 	_ "repro/internal/remote" // register the "remote" backend
 	"repro/internal/vt"
 )
@@ -36,6 +39,38 @@ func TestRemoteBufferNeedsRealClock(t *testing.T) {
 		rt.Stop()
 		rt.Wait()
 		t.Fatal("Start with remote buffer under virtual clock: want error, got nil")
+	}
+}
+
+// falseAtGetter is a backend that declares GetAt in its Caps but whose
+// instances lack the buffer.AtGetter face.
+type falseAtGetter struct{ *queue.Queue }
+
+// TestConformanceFalseGetAtClaim registers a backend whose Caps claim
+// GetAt without implementing buffer.AtGetter, as outside code may through
+// aru.RegisterBufferBackend: Start must refuse it with ErrPortKind rather
+// than let Ctx.GetAt fail a type assertion later.
+func TestConformanceFalseGetAtClaim(t *testing.T) {
+	const backend = "test-false-getat"
+	if _, ok := buffer.Lookup(backend); !ok {
+		buffer.Register(backend, buffer.Backend{
+			New:  func(cfg buffer.Config) (buffer.Buffer, error) { return falseAtGetter{queue.New(cfg)}, nil },
+			Caps: buffer.Caps{Discipline: buffer.Latest, GetAt: true},
+		})
+	}
+	rt := New(Options{Clock: clock.NewReal(), ARU: core.PolicyOff()})
+	ref, err := rt.addBuffer(graph.KindChannel, backend, "F", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.MustAddThread("src", 0, func(ctx *Ctx) error { return nil }).MustOutput(ref)
+	rt.MustAddThread("snk", 0, func(ctx *Ctx) error { return nil }).MustInput(ref)
+	if err := rt.Start(); !errors.Is(err, ErrPortKind) {
+		if err == nil {
+			rt.Stop()
+			rt.Wait()
+		}
+		t.Fatalf("Start with a false GetAt claim: err = %v, want ErrPortKind", err)
 	}
 }
 

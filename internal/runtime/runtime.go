@@ -517,6 +517,11 @@ func (rt *Runtime) materializeLocked(n *graph.Node, windows map[graph.ConnID]int
 	if err != nil {
 		return fmt.Errorf("runtime: materialize %q (backend %q): %w", n.Name, ref.backend, err)
 	}
+	if _, ok := b.(buffer.AtGetter); ref.caps.GetAt && !ok {
+		// Outside code registers backends too: a false GetAt claim is
+		// a wiring error here, not a failed type assertion in Ctx.GetAt.
+		return fmt.Errorf("%w: backend %q of %q declares GetAt but does not implement buffer.AtGetter", ErrPortKind, ref.backend, n.Name)
+	}
 	for _, cid := range n.In {
 		if err := b.AttachProducer(cid); err != nil {
 			return fmt.Errorf("runtime: attach producer to %q: %w", n.Name, err)
@@ -851,9 +856,9 @@ func (rt *Runtime) TotalOccupancy() (items int, bytes int64) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for _, b := range rt.buffers {
-		n, bts := b.Occupancy()
-		items += n
-		bytes += bts
+		st := b.Stats()
+		items += st.Items
+		bytes += st.Bytes
 	}
 	return items, bytes
 }

@@ -152,7 +152,7 @@ func TestARUThrottlesSource(t *testing.T) {
 			if th.name == "src" {
 				// iterations == puts onto C1
 				ch := rt.buffers[th.outs[0].ref.id]
-				puts, _ := ch.Stats()
+				puts := ch.Stats().Puts
 				srcIters = puts
 			}
 		}
@@ -264,7 +264,7 @@ func TestQueueFlow(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if n, _ := rt.Buffer(q).Stats(); n >= 20 {
+		if n := rt.Buffer(q).Stats().Puts; n >= 20 {
 			break
 		}
 		if time.Now().After(deadline) {

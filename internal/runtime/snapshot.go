@@ -6,8 +6,9 @@
 //
 // Snapshot also fixes the WriteStatus lock-order hazard: the node/
 // buffer pairs are collected under rt.mu, the lock is released, and
-// only then is each buffer queried (Occupancy/Stats take the buffer's
-// own lock). rt.mu and buffer locks are never nested.
+// only then is each buffer read, by one Stats call that takes the
+// buffer's own lock once. rt.mu and buffer locks are never nested, and
+// each buffer's row is one consistent reading of its books.
 package runtime
 
 import (
@@ -51,8 +52,8 @@ type BufferStatus struct {
 	DrainedItems, ShedItems int64
 	// PutBlocked and PutBlockedCount accumulate producer
 	// capacity-blocking on the buffer — the elastic scheduler's
-	// backlog-pressure sensor. Zero for backends without inline
-	// accounting (remote endpoints).
+	// backlog-pressure sensor. Zero for remote endpoints, whose puts
+	// have no local capacity to block on.
 	PutBlocked      time.Duration
 	PutBlockedCount int64
 }
@@ -120,20 +121,14 @@ func (rt *Runtime) Snapshot() Snapshot {
 		}
 	}
 	for _, br := range brefs {
-		items, bytes := br.b.Occupancy() // rt.mu NOT held: no lock nesting
-		puts, frees := br.b.Stats()
-		bs := BufferStatus{
+		st := br.b.Stats() // rt.mu NOT held: no lock nesting
+		snap.Buffers = append(snap.Buffers, BufferStatus{
 			Node: br.node, Name: br.name, Backend: br.backend,
-			Items: items, Bytes: bytes, Puts: puts, Frees: frees,
-		}
-		if hw, ok := br.b.(buffer.HighWaterer); ok {
-			bs.HighWaterItems, bs.HighWaterBytes = hw.HighWater()
-		}
-		if pb, ok := br.b.(buffer.PutBlocker); ok {
-			bs.PutBlocked, bs.PutBlockedCount = pb.PutBlocked()
-		}
-		bs.DrainedItems, bs.ShedItems = br.b.DrainStats()
-		snap.Buffers = append(snap.Buffers, bs)
+			Items: st.Items, Bytes: st.Bytes, Puts: st.Puts, Frees: st.Frees,
+			HighWaterItems: st.HighWaterItems, HighWaterBytes: st.HighWaterBytes,
+			DrainedItems: st.Drained, ShedItems: st.Shed,
+			PutBlocked: st.PutBlocked, PutBlockedCount: st.PutBlockedCount,
+		})
 	}
 	snap.Threads = rt.Health().Threads
 	snap.Draining = rt.draining.Load()

@@ -23,10 +23,11 @@ var ErrShutdown = errors.New("runtime: shutting down")
 
 // ErrPortKind reports a get/put variant that the port's buffer backend
 // does not support — a timestamped GetAt on a FIFO queue, a GetQueue on a
-// channel input, a windowed input on a backend without window support.
-// Before the buffer layer became pluggable these misuses panicked through
-// a runtime type assertion; now they surface as a typed error at wiring
-// or call time.
+// channel input, a windowed input on a backend without window support —
+// and, at Start, a registered backend that declares a capability its
+// instances do not implement. Before the buffer layer became pluggable
+// these misuses panicked through a runtime type assertion; now they
+// surface as a typed error at wiring or call time.
 var ErrPortKind = errors.New("runtime: operation not supported by port's buffer backend")
 
 // ErrDegraded reports that a wire-backed put/get exhausted its redial and
@@ -469,9 +470,6 @@ func (c *Ctx) GetWindow(p *InPort) (head Msg, window []Msg, err error) {
 // tracker's detectors reusing the current histogram model) are built on
 // it; pair it with Reuse so provenance stays accurate.
 func (c *Ctx) TryGetLatest(p *InPort) (Msg, bool, error) {
-	if !p.ref.caps.TryGet {
-		return Msg{}, false, portKindErr("TryGetLatest", p.ref)
-	}
 	if c.thread.retiring.Load() {
 		return Msg{}, false, ErrDraining
 	}
@@ -508,7 +506,7 @@ func (c *Ctx) GetAt(p *InPort, ts vt.Timestamp) (Msg, error) {
 	if c.thread.retiring.Load() {
 		return Msg{}, ErrDraining
 	}
-	res, err := p.buf.GetAt(p.conn, ts)
+	res, err := p.buf.(buffer.AtGetter).GetAt(p.conn, ts)
 	c.meter.AddBlocked(res.Blocked)
 	if err != nil {
 		p.noteGet(0, res.Blocked, err)

@@ -85,7 +85,7 @@ func TestRemoteEdgeComposesFaultnetChaos(t *testing.T) {
 	// Stop cut off mid round trip (a replay never duplicated). A cut
 	// put returned ErrShutdown but may have been applied; the source
 	// exits on it, so there is at most one.
-	puts, _ := srv.Channel("wire").Stats()
+	puts := srv.Channel("wire").Stats().Puts
 	var cut int64
 	if r.stages[0].cut.Load() {
 		cut = 1
